@@ -222,28 +222,40 @@ impl SiteState {
     /// during an overload episode only one survivor answers, chosen
     /// deterministically per (site, episode); otherwise all answer.
     pub fn responding_servers(&self) -> Vec<u16> {
-        let n = self.spec.n_servers;
-        if self.spec.lb_mode == LoadBalancerMode::FailoverConcentrate
-            && self.tracker.overloaded
-            && n > 1
-        {
-            let pick = (mix64(
-                u64::from(self.tracker.episodes)
-                    .wrapping_mul(0x9e37)
-                    .wrapping_add(u64::from(self.spec.host_as.0)),
-            ) % u64::from(n)) as u16;
-            vec![pick + 1]
-        } else {
-            (1..=n).collect()
+        match self.survivor() {
+            Some(s) => vec![s],
+            None => (1..=self.spec.n_servers).collect(),
         }
     }
 
-    /// Deterministically map a client hash to the server that answers it.
+    /// The lone answering server while a `FailoverConcentrate` site is
+    /// overloaded, or `None` when every server answers.
+    fn survivor(&self) -> Option<u16> {
+        let n = self.spec.n_servers;
+        (self.spec.lb_mode == LoadBalancerMode::FailoverConcentrate
+            && self.tracker.overloaded
+            && n > 1)
+            .then(|| {
+                let pick = mix64(
+                    u64::from(self.tracker.episodes)
+                        .wrapping_mul(0x9e37)
+                        .wrapping_add(u64::from(self.spec.host_as.0)),
+                ) % u64::from(n);
+                pick as u16 + 1
+            })
+    }
+
+    /// Deterministically map a client hash to the server that answers
+    /// it: `responding_servers()[mix64(h ^ host_as << 17) % len]`,
+    /// computed without building the list.
     pub fn server_for(&self, client_hash: u64) -> u16 {
-        let responding = self.responding_servers();
-        let idx = (mix64(client_hash ^ u64::from(self.spec.host_as.0) << 17)
-            % responding.len() as u64) as usize;
-        responding[idx]
+        match self.survivor() {
+            Some(s) => s,
+            None => {
+                let h = mix64(client_hash ^ u64::from(self.spec.host_as.0) << 17);
+                (h % u64::from(self.spec.n_servers)) as u16 + 1
+            }
+        }
     }
 
     /// Per-server latency skew under load: in `SharedLink` mode, one
@@ -316,6 +328,33 @@ mod tests {
         let survivor = st.responding_servers()[0];
         for h in 0..50u64 {
             assert_eq!(st.server_for(h), survivor);
+        }
+    }
+
+    #[test]
+    fn server_for_matches_responding_servers_oracle() {
+        for mode in [
+            LoadBalancerMode::SharedLink,
+            LoadBalancerMode::FailoverConcentrate,
+        ] {
+            for n in 1..=5u16 {
+                for overloaded in [false, true] {
+                    let mut st = SiteState::new(spec().with_servers(n).with_lb_mode(mode));
+                    st.tracker.overloaded = overloaded;
+                    st.tracker.episodes = 4;
+                    let responding = st.responding_servers();
+                    for i in 0..256u64 {
+                        let h = mix64(i);
+                        let idx =
+                            mix64(h ^ u64::from(st.spec.host_as.0) << 17) % responding.len() as u64;
+                        assert_eq!(
+                            st.server_for(h),
+                            responding[idx as usize],
+                            "{mode:?} n={n} overloaded={overloaded} h={h}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -22,8 +22,8 @@ pub mod vp;
 
 pub use clean::{clean_fleet, clean_outcome, CleanObs, CleaningReport, ExclusionReason, FastObs};
 pub use pipeline::{
-    raster_code, FlipEvent, LetterData, MeasurementPipeline, PipelineConfig, PipelineError,
-    ProbeOutcomeStats, ServerWatch,
+    raster_code, FlipEvent, LetterData, LetterShard, MeasurementPipeline, PipelineConfig,
+    PipelineError, ProbeOutcomeStats, ServerWatch,
 };
 pub use probe::{
     execute_probe, execute_probe_fused, ChaosTarget, IndexedView, RawMeasurement, RawOutcome,

@@ -122,7 +122,7 @@ pub struct FlipEvent {
 }
 
 /// Per-server aggregates for a watched site.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerWatch {
     /// VP count per bin, per server ordinal (1-based key).
     pub counts: BTreeMap<u16, BinnedSeries>,
@@ -133,7 +133,7 @@ pub struct ServerWatch {
 }
 
 /// Everything accumulated for one letter.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LetterData {
     pub letter: Letter,
     /// Airport codes, indexed by site index.
@@ -162,12 +162,12 @@ pub struct LetterData {
 }
 
 impl LetterData {
-    /// Index of a site code.
+    /// Index of a site code, matched case-insensitively (registered
+    /// codes are stored uppercase).
     pub fn site_idx(&self, code: &str) -> Option<u16> {
-        let code = code.to_ascii_uppercase();
         self.site_codes
             .iter()
-            .position(|c| *c == code)
+            .position(|c| c.eq_ignore_ascii_case(code))
             .map(|i| i as u16)
     }
 
@@ -234,10 +234,11 @@ impl Default for VpLetterState {
     }
 }
 
-/// Pipeline-wide tallies of probe clean/drop outcomes: how many
-/// recorded observations resolved to a site, timed out, or errored, and
-/// how many scheduled probes produced nothing at all. Counted once per
-/// recorded probe regardless of which entry point (fused or reference)
+/// Tallies of probe clean/drop outcomes: how many recorded observations
+/// resolved to a site, timed out, or errored, and how many scheduled
+/// probes produced nothing at all. Kept per letter and summed by
+/// [`MeasurementPipeline::outcome_stats`]; counted once per recorded
+/// probe regardless of which entry point (shard, fused or reference)
 /// delivered it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeOutcomeStats {
@@ -248,16 +249,25 @@ pub struct ProbeOutcomeStats {
 }
 
 /// The streaming pipeline.
+///
+/// Each registered letter owns a disjoint slice of the pipeline: its
+/// [`LetterData`], its per-VP streaming state and its outcome tallies.
+/// [`MeasurementPipeline::shards`] hands those slices out as
+/// [`LetterShard`]s so a per-letter fan-out records in place; the
+/// keyed entry points ([`MeasurementPipeline::record_fast`] and
+/// friends) resolve the letter and delegate to the same shard method.
 #[derive(Debug)]
 pub struct MeasurementPipeline {
     cfg: PipelineConfig,
     n_vps: usize,
     /// Registered letters in registration order.
     letter_order: Vec<Letter>,
-    letters: BTreeMap<Letter, LetterData>,
-    /// Per (vp, letter-slot) streaming state.
+    /// Per-letter aggregates, parallel to `letter_order`.
+    letters: Vec<LetterData>,
+    /// Per (letter-slot, vp) streaming state, letter-major.
     state: Vec<VpLetterState>,
-    outcomes: ProbeOutcomeStats,
+    /// Per-letter outcome tallies, parallel to `letter_order`.
+    outcomes: Vec<ProbeOutcomeStats>,
 }
 
 impl MeasurementPipeline {
@@ -268,9 +278,9 @@ impl MeasurementPipeline {
             cfg,
             n_vps,
             letter_order: Vec::new(),
-            letters: BTreeMap::new(),
+            letters: Vec::new(),
             state: Vec::new(),
-            outcomes: ProbeOutcomeStats::default(),
+            outcomes: Vec::new(),
         }
     }
 
@@ -278,15 +288,23 @@ impl MeasurementPipeline {
         &self.cfg
     }
 
-    /// Pipeline-wide probe outcome tallies (clean/drop accounting).
+    /// Pipeline-wide probe outcome tallies (clean/drop accounting): the
+    /// sum of every letter's tallies.
     pub fn outcome_stats(&self) -> ProbeOutcomeStats {
         self.outcomes
+            .iter()
+            .fold(ProbeOutcomeStats::default(), |sum, o| ProbeOutcomeStats {
+                site: sum.site + o.site,
+                timeout: sum.timeout + o.timeout,
+                error: sum.error + o.error,
+                missed: sum.missed + o.missed,
+            })
     }
 
     /// Register a letter and its site codes before recording for it.
     pub fn register_letter(&mut self, letter: Letter, site_codes: Vec<String>) {
         assert!(
-            !self.letters.contains_key(&letter),
+            !self.letter_order.contains(&letter),
             "letter {letter} registered twice"
         );
         assert!(
@@ -304,7 +322,7 @@ impl MeasurementPipeline {
             .filter_map(|(_, code)| {
                 site_codes
                     .iter()
-                    .position(|c| c == &code.to_ascii_uppercase())
+                    .position(|c| c.eq_ignore_ascii_case(code))
                     .map(|i| {
                         (
                             i as u16,
@@ -339,8 +357,9 @@ impl MeasurementPipeline {
             observed_probes: 0,
             missed_probes: 0,
         };
-        self.letters.insert(letter, data);
+        self.letters.push(data);
         self.letter_order.push(letter);
+        self.outcomes.push(ProbeOutcomeStats::default());
         // Grow the state table: one slot per (vp, letter).
         self.state.resize(
             self.n_vps * self.letter_order.len(),
@@ -348,19 +367,42 @@ impl MeasurementPipeline {
         );
     }
 
-    fn slot(&self, vp: VpId, letter: Letter) -> Result<usize, PipelineError> {
-        let li = self
-            .letter_order
+    /// Registration slot of a letter.
+    fn letter_slot(&self, letter: Letter) -> Result<usize, PipelineError> {
+        self.letter_order
             .iter()
             .position(|&l| l == letter)
-            .ok_or(PipelineError::UnregisteredLetter(letter))?;
-        if vp.0 as usize >= self.n_vps {
-            return Err(PipelineError::VpOutOfRange {
-                vp,
-                n_vps: self.n_vps,
-            });
+            .ok_or(PipelineError::UnregisteredLetter(letter))
+    }
+
+    /// One letter's recording shard, by registration slot.
+    fn shard(&mut self, li: usize) -> LetterShard<'_> {
+        let n = self.n_vps;
+        LetterShard {
+            data: &mut self.letters[li],
+            state: &mut self.state[li * n..(li + 1) * n],
+            outcomes: &mut self.outcomes[li],
+            cfg: &self.cfg,
         }
-        Ok(li * self.n_vps + vp.0 as usize)
+    }
+
+    /// One recording shard per registered letter, in registration
+    /// order. Shards borrow disjoint parts of the pipeline, so a
+    /// per-letter fan-out can record into all of them at once; what
+    /// each shard records is exactly what the keyed entry points would.
+    pub fn shards(&mut self) -> Vec<LetterShard<'_>> {
+        let cfg = &self.cfg;
+        self.letters
+            .iter_mut()
+            .zip(self.state.chunks_mut(self.n_vps))
+            .zip(self.outcomes.iter_mut())
+            .map(|((data, state), outcomes)| LetterShard {
+                data,
+                state,
+                outcomes,
+                cfg,
+            })
+            .collect()
     }
 
     /// Record that a scheduled probe produced no measurement at all
@@ -371,20 +413,16 @@ impl MeasurementPipeline {
         if at >= self.cfg.horizon {
             return Ok(());
         }
-        let data = self
-            .letters
-            .get_mut(&letter)
-            .ok_or(PipelineError::UnregisteredLetter(letter))?;
-        data.missed_probes += 1;
-        self.outcomes.missed += 1;
+        let li = self.letter_slot(letter)?;
+        self.shard(li).note_missed(at);
         Ok(())
     }
 
     /// Record one cleaned observation. Thin wrapper over
     /// [`Self::record_fast`]: resolves the identity's site code to its
-    /// index (after the horizon and slot checks, preserving the error
-    /// order: unregistered letter, then VP range, then unknown site),
-    /// then records on the fused path.
+    /// index (after the horizon, letter and VP checks, preserving the
+    /// error order: unregistered letter, then VP range, then unknown
+    /// site), then records on the fused path.
     pub fn record(
         &mut self,
         vp: VpId,
@@ -395,18 +433,23 @@ impl MeasurementPipeline {
         if at >= self.cfg.horizon {
             return Ok(());
         }
-        self.slot(vp, letter)?;
+        let li = self.letter_slot(letter)?;
+        if vp.0 as usize >= self.n_vps {
+            return Err(PipelineError::VpOutOfRange {
+                vp,
+                n_vps: self.n_vps,
+            });
+        }
         let fast = match obs {
             CleanObs::Timeout => FastObs::Timeout,
             CleanObs::Error => FastObs::Error,
             CleanObs::Site(id, rtt) => {
-                let data = self.letters.get(&letter).expect("slot() checked");
-                let site = data
-                    .site_idx(&id.site)
-                    .ok_or_else(|| PipelineError::UnknownSite {
+                let site = self.letters[li].site_idx(&id.site).ok_or_else(|| {
+                    PipelineError::UnknownSite {
                         letter,
                         site: id.site.clone(),
-                    })?;
+                    }
+                })?;
                 FastObs::Site {
                     site,
                     server: id.server,
@@ -414,12 +457,12 @@ impl MeasurementPipeline {
                 }
             }
         };
-        self.record_fast(vp, letter, at, fast)
+        self.shard(li).record(vp, at, fast)
     }
 
-    /// Record one observation already resolved to a site index — the
-    /// fused-path primary implementation (no strings touched). A site
-    /// index beyond the letter's registered sites is an
+    /// Record one observation already resolved to a site index: resolves
+    /// the letter and delegates to [`LetterShard::record`]. A site index
+    /// beyond the letter's registered sites is an
     /// [`PipelineError::UnknownSite`] (reported as `#idx`).
     pub fn record_fast(
         &mut self,
@@ -431,20 +474,104 @@ impl MeasurementPipeline {
         if at >= self.cfg.horizon {
             return Ok(());
         }
-        let bin = at.bin_index(self.cfg.bin) as u32;
-        let slot = self.slot(vp, letter)?;
+        let li = self.letter_slot(letter)?;
+        self.shard(li).record(vp, at, obs)
+    }
+
+    /// Flush all outstanding bins. Call once after the last record.
+    pub fn finalize(&mut self) {
+        let rtt_subsample = self.cfg.rtt_subsample;
+        for (data, state) in self
+            .letters
+            .iter_mut()
+            .zip(self.state.chunks_mut(self.n_vps))
+        {
+            for (vpi, st) in state.iter_mut().enumerate() {
+                commit(data, VpId(vpi as u32), *st, rtt_subsample);
+                st.best = BinBest::Empty;
+            }
+        }
+    }
+
+    /// Accumulated data for a letter, or `None` when it was never
+    /// registered — the graceful-degradation accessor analyses use.
+    pub fn try_letter(&self, letter: Letter) -> Option<&LetterData> {
+        let li = self.letter_slot(letter).ok()?;
+        Some(&self.letters[li])
+    }
+
+    /// Accumulated data for a letter.
+    ///
+    /// # Panics
+    /// On an unregistered letter — asking for one is a programmer
+    /// error; use [`MeasurementPipeline::try_letter`] to degrade.
+    pub fn letter(&self, letter: Letter) -> &LetterData {
+        self.try_letter(letter)
+            .unwrap_or_else(|| panic!("letter {letter} not registered"))
+    }
+
+    /// All registered letters, in registration order.
+    pub fn registered(&self) -> &[Letter] {
+        &self.letter_order
+    }
+}
+
+/// One letter's exclusive slice of a [`MeasurementPipeline`]: its
+/// aggregates, its per-VP streaming state and its outcome tallies, plus
+/// the shared configuration. Obtained from
+/// [`MeasurementPipeline::shards`]; the only code path that records.
+#[derive(Debug)]
+pub struct LetterShard<'a> {
+    data: &'a mut LetterData,
+    state: &'a mut [VpLetterState],
+    outcomes: &'a mut ProbeOutcomeStats,
+    cfg: &'a PipelineConfig,
+}
+
+impl LetterShard<'_> {
+    /// The letter this shard records for.
+    pub fn letter(&self) -> Letter {
+        self.data.letter
+    }
+
+    /// Count a scheduled probe that produced no measurement (see
+    /// [`MeasurementPipeline::note_missed`]); beyond-horizon slots are
+    /// ignored.
+    pub fn note_missed(&mut self, at: SimTime) {
+        if at >= self.cfg.horizon {
+            return;
+        }
+        self.data.missed_probes += 1;
+        self.outcomes.missed += 1;
+    }
+
+    /// Record one observation already resolved to a site index (no
+    /// strings touched). Beyond-horizon observations are ignored; a VP
+    /// at or beyond the fleet size is [`PipelineError::VpOutOfRange`],
+    /// checked before a site index beyond the letter's registered sites
+    /// ([`PipelineError::UnknownSite`], reported as `#idx`).
+    pub fn record(&mut self, vp: VpId, at: SimTime, obs: FastObs) -> Result<(), PipelineError> {
+        let cfg = self.cfg;
+        if at >= cfg.horizon {
+            return Ok(());
+        }
+        let n_vps = self.state.len();
+        if vp.0 as usize >= n_vps {
+            return Err(PipelineError::VpOutOfRange { vp, n_vps });
+        }
+        let bin = at.bin_index(cfg.bin) as u32;
+        let data = &mut *self.data;
 
         // Raster: per-probe timeline, padded for any missed slots.
-        let probe_seq = (at.as_nanos() / self.cfg.probe_interval.as_nanos()) as usize;
-        let n_probes = self.cfg.n_probes();
-        let data = self.letters.get_mut(&letter).expect("slot() checked");
+        let probe_seq = (at.as_nanos() / cfg.probe_interval.as_nanos()) as usize;
+        let n_probes = cfg.n_probes();
         let code = match obs {
             FastObs::Timeout => raster_code::TIMEOUT,
             FastObs::Error => raster_code::ERROR,
             FastObs::Site { site, .. } => {
                 if site as usize >= data.site_codes.len() {
                     return Err(PipelineError::UnknownSite {
-                        letter,
+                        letter: data.letter,
                         site: format!("#{site}"),
                     });
                 }
@@ -477,10 +604,10 @@ impl MeasurementPipeline {
         }
 
         // Binning with site > error > timeout preference.
-        let state = &mut self.state[slot];
+        let state = &mut self.state[vp.0 as usize];
         if bin != state.cur_bin {
             let finished = *state;
-            Self::commit(data, vp, finished, self.cfg.rtt_subsample);
+            commit(data, vp, finished, cfg.rtt_subsample);
             if let BinBest::Site { site, .. } = finished.best {
                 // The committed bin's site becomes the reference point
                 // for flip detection in later bins.
@@ -500,84 +627,49 @@ impl MeasurementPipeline {
         }
         Ok(())
     }
+}
 
-    fn commit(data: &mut LetterData, vp: VpId, st: VpLetterState, rtt_subsample: u32) {
-        let bin_start = SimTime::ZERO + data.success.bin_width() * u64::from(st.cur_bin);
-        // Find the slot in the state table we were given (committing uses
-        // only the letter-local aggregates).
-        match st.best {
-            BinBest::Empty | BinBest::Timeout => {}
-            BinBest::Error => data.errors.incr_at(bin_start),
-            BinBest::Site { site, server, rtt } => {
-                data.success.incr_at(bin_start);
-                data.site_counts[site as usize].incr_at(bin_start);
-                if vp.0.is_multiple_of(rtt_subsample) {
-                    data.rtt.push(bin_start, rtt.as_nanos() as f64);
-                }
-                if let Some(prev) = st.last_site {
-                    if prev != site {
-                        data.flips.incr_at(bin_start);
-                        data.flip_events.push(FlipEvent {
-                            at_bin: st.cur_bin,
-                            vp,
-                            from_site: prev,
-                            to_site: site,
-                        });
-                    }
-                }
-                if let Some(watch) = data.watches.get_mut(&site) {
-                    let n_bins = data.success.len();
-                    let bw = data.success.bin_width();
-                    watch
-                        .counts
-                        .entry(server)
-                        .or_insert_with(|| BinnedSeries::zeros(bw, n_bins))
-                        .incr_at(bin_start);
-                    watch
-                        .rtts
-                        .entry(server)
-                        .or_insert_with(|| SampleBins::new(bw, n_bins))
-                        .push(bin_start, rtt.as_nanos() as f64);
-                    watch.site_rtt.push(bin_start, rtt.as_nanos() as f64);
+/// Fold one VP's finished bin into the letter's aggregates. Flip
+/// reference tracking (`last_site`) is the caller's job, since it needs
+/// the mutable state.
+fn commit(data: &mut LetterData, vp: VpId, st: VpLetterState, rtt_subsample: u32) {
+    let bin_start = SimTime::ZERO + data.success.bin_width() * u64::from(st.cur_bin);
+    match st.best {
+        BinBest::Empty | BinBest::Timeout => {}
+        BinBest::Error => data.errors.incr_at(bin_start),
+        BinBest::Site { site, server, rtt } => {
+            data.success.incr_at(bin_start);
+            data.site_counts[site as usize].incr_at(bin_start);
+            if vp.0.is_multiple_of(rtt_subsample) {
+                data.rtt.push(bin_start, rtt.as_nanos() as f64);
+            }
+            if let Some(prev) = st.last_site {
+                if prev != site {
+                    data.flips.incr_at(bin_start);
+                    data.flip_events.push(FlipEvent {
+                        at_bin: st.cur_bin,
+                        vp,
+                        from_site: prev,
+                        to_site: site,
+                    });
                 }
             }
-        }
-        // last_site tracking happens in the caller (needs mutable state).
-    }
-
-    /// Flush all outstanding bins. Call once after the last record.
-    pub fn finalize(&mut self) {
-        for (li, &letter) in self.letter_order.iter().enumerate() {
-            let data = self.letters.get_mut(&letter).expect("registered");
-            for vpi in 0..self.n_vps {
-                let slot = li * self.n_vps + vpi;
-                let st = self.state[slot];
-                Self::commit(data, VpId(vpi as u32), st, self.cfg.rtt_subsample);
-                self.state[slot].best = BinBest::Empty;
+            if let Some(watch) = data.watches.get_mut(&site) {
+                let n_bins = data.success.len();
+                let bw = data.success.bin_width();
+                watch
+                    .counts
+                    .entry(server)
+                    .or_insert_with(|| BinnedSeries::zeros(bw, n_bins))
+                    .incr_at(bin_start);
+                watch
+                    .rtts
+                    .entry(server)
+                    .or_insert_with(|| SampleBins::new(bw, n_bins))
+                    .push(bin_start, rtt.as_nanos() as f64);
+                watch.site_rtt.push(bin_start, rtt.as_nanos() as f64);
             }
         }
-    }
-
-    /// Accumulated data for a letter, or `None` when it was never
-    /// registered — the graceful-degradation accessor analyses use.
-    pub fn try_letter(&self, letter: Letter) -> Option<&LetterData> {
-        self.letters.get(&letter)
-    }
-
-    /// Accumulated data for a letter.
-    ///
-    /// # Panics
-    /// On an unregistered letter — asking for one is a programmer
-    /// error; use [`MeasurementPipeline::try_letter`] to degrade.
-    pub fn letter(&self, letter: Letter) -> &LetterData {
-        self.letters
-            .get(&letter)
-            .unwrap_or_else(|| panic!("letter {letter} not registered"))
-    }
-
-    /// All registered letters, in registration order.
-    pub fn registered(&self) -> &[Letter] {
-        &self.letter_order
     }
 }
 
@@ -891,6 +983,122 @@ mod tests {
             p.record_fast(VpId(0), Letter::K, SimTime::from_hours(2), bad),
             Ok(())
         );
+    }
+
+    #[test]
+    fn shards_record_exactly_what_record_fast_records() {
+        let two_letters = || {
+            let mut p = pipeline();
+            p.register_letter(Letter::E, vec!["LHR".into(), "CDG".into(), "IAD".into()]);
+            p
+        };
+        let letters = [Letter::K, Letter::E];
+        let site = |site, server, rtt_ms| {
+            Some(FastObs::Site {
+                site,
+                server,
+                rtt: SimDuration::from_millis(rtt_ms),
+            })
+        };
+        // (letter slot, VP, minute, observation); `None` is a missed
+        // probe. K is rastered and watches FRA (site 1).
+        let stream: [(usize, u32, u64, Option<FastObs>); 14] = [
+            (0, 0, 1, site(1, 1, 20)),
+            (1, 0, 1, site(0, 1, 12)),
+            (0, 1, 2, site(1, 2, 25)),
+            (0, 2, 3, Some(FastObs::Timeout)),
+            (1, 3, 3, Some(FastObs::Error)),
+            (0, 3, 3, None),
+            (1, 1, 5, None),
+            (0, 0, 11, site(0, 1, 30)), // K flip FRA -> AMS
+            (0, 1, 12, Some(FastObs::Timeout)),
+            (0, 1, 13, site(1, 3, 21)), // same raster slot, better outcome
+            (1, 0, 14, site(2, 3, 40)), // E flip LHR -> IAD
+            (0, 2, 21, site(1, 3, 22)),
+            (0, 1, 70, site(0, 1, 30)), // beyond the 1 h horizon
+            (1, 2, 61, None),           // missed, beyond the horizon
+        ];
+        let mut keyed = two_letters();
+        let mut sharded = two_letters();
+        {
+            let mut shards = sharded.shards();
+            for &(li, vp, mins, obs) in &stream {
+                let letter = letters[li];
+                let shard = &mut shards[li];
+                assert_eq!(shard.letter(), letter);
+                match obs {
+                    Some(o) => {
+                        keyed.record_fast(VpId(vp), letter, t(mins), o).unwrap();
+                        shard.record(VpId(vp), t(mins), o).unwrap();
+                    }
+                    None => {
+                        keyed.note_missed(letter, t(mins)).unwrap();
+                        shard.note_missed(t(mins));
+                    }
+                }
+            }
+        }
+        keyed.finalize();
+        sharded.finalize();
+        for letter in letters {
+            assert_eq!(keyed.letter(letter), sharded.letter(letter), "{letter}");
+        }
+        assert_eq!(keyed.outcome_stats(), sharded.outcome_stats());
+        // The stream exercised what it claims to, and the pipeline-wide
+        // tallies are the per-letter sums.
+        let (k, e) = (sharded.letter(Letter::K), sharded.letter(Letter::E));
+        assert_eq!((k.flip_events.len(), e.flip_events.len()), (1, 1));
+        assert!(!k.watches[&1].counts.is_empty());
+        assert_eq!(
+            k.raster.as_ref().unwrap()[1],
+            vec![
+                raster_code::SITE_BASE + 1,
+                raster_code::MISSING,
+                raster_code::MISSING,
+                raster_code::SITE_BASE + 1
+            ]
+        );
+        let stats = sharded.outcome_stats();
+        assert_eq!(stats.missed, k.missed_probes + e.missed_probes);
+        assert_eq!(
+            stats.site + stats.timeout + stats.error,
+            k.observed_probes + e.observed_probes
+        );
+        assert_eq!(
+            (stats.missed, k.observed_probes + e.observed_probes),
+            (2, 10)
+        );
+
+        // Shard errors: VP range before site validity, out-of-range site
+        // indices as `#idx`; a rejected observation records nothing.
+        let mut p = two_letters();
+        let bad = FastObs::Site {
+            site: 7,
+            server: 1,
+            rtt: SimDuration::from_millis(20),
+        };
+        let mut shards = p.shards();
+        assert_eq!(
+            shards[0].record(VpId(99), t(0), bad),
+            Err(PipelineError::VpOutOfRange {
+                vp: VpId(99),
+                n_vps: 4
+            })
+        );
+        assert_eq!(
+            shards[1].record(VpId(0), t(0), bad),
+            Err(PipelineError::UnknownSite {
+                letter: Letter::E,
+                site: "#7".into()
+            })
+        );
+        assert_eq!(
+            shards[1].record(VpId(99), SimTime::from_hours(2), bad),
+            Ok(())
+        );
+        drop(shards);
+        assert_eq!(p.outcome_stats(), ProbeOutcomeStats::default());
+        assert_eq!(p.letter(Letter::E).observed_probes, 0);
     }
 
     #[test]

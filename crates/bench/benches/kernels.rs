@@ -4,7 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::SeedableRng;
-use rootcast::engine::{FluidTraffic, NoopInstrumentation, SimWorld};
+use rootcast::engine::{
+    FaultInjector, FaultKind, FaultPlan, FluidTraffic, NoopInstrumentation, ProbeWheel, SimWorld,
+};
 use rootcast::{ScenarioConfig, Subsystem};
 use rootcast_anycast::{AnycastService, CatchmentIndex};
 use rootcast_atlas::{clean_outcome, CleanObs, MeasurementPipeline, PipelineConfig, VpId};
@@ -212,6 +214,44 @@ fn bench_fluid_tick(c: &mut Criterion) {
     });
 }
 
+fn bench_probe_wheel_tick(c: &mut Criterion) {
+    // One minute of the Atlas probing wheel over the small scenario
+    // (every letter probed on the fused path and recorded into its
+    // pipeline shard), with a letter-scoped dropout wave and a firmware
+    // downgrade active so the fault lookups and missed-probe accounting
+    // are on the path.
+    let mut cfg = ScenarioConfig::small();
+    cfg.faults = FaultPlan::none()
+        .with(
+            SimTime::ZERO,
+            cfg.horizon - SimTime::ZERO,
+            FaultKind::ProbeDropout {
+                fraction: 0.3,
+                letters: vec![Letter::B, Letter::K],
+            },
+        )
+        .with(
+            SimTime::ZERO,
+            cfg.horizon - SimTime::ZERO,
+            FaultKind::FirmwareDowngrade { fraction: 0.2 },
+        );
+    let rngf = SimRng::new(cfg.seed);
+    let mut obs = NoopInstrumentation;
+    let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
+    let mut faults = FaultInjector::new(rngf.stream("faults"), cfg.faults.clone());
+    faults.tick(&mut world, SimTime::ZERO);
+    let mut wheel = ProbeWheel::new(&world);
+    let horizon_mins = cfg.horizon.as_secs() / 60;
+    let mut minute = 0u64;
+    c.bench_function("probe_wheel_tick", |b| {
+        b.iter(|| {
+            // Stay inside the pipeline horizon so every probe records.
+            minute = minute % (horizon_mins - 1) + 1;
+            black_box(wheel.tick(&mut world, SimTime::from_mins(minute)))
+        })
+    });
+}
+
 fn bench_sketch(c: &mut Criterion) {
     c.bench_function("hll_insert_100k", |b| {
         b.iter_batched(
@@ -230,6 +270,6 @@ fn bench_sketch(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_topology, bench_bgp, bench_dns, bench_rrl, bench_fluid, bench_catchment, bench_fluid_tick, bench_pipeline, bench_sketch
+    targets = bench_topology, bench_bgp, bench_dns, bench_rrl, bench_fluid, bench_catchment, bench_fluid_tick, bench_probe_wheel_tick, bench_pipeline, bench_sketch
 }
 criterion_main!(kernels);

@@ -35,7 +35,7 @@ use rand::Rng;
 use rootcast_anycast::FacilityId;
 use rootcast_dns::Letter;
 use rootcast_netsim::{ChaCha8Rng, SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// One kind of injectable fault.
@@ -188,12 +188,29 @@ enum ProbeFaultMode {
     Discard,
 }
 
+/// An active probe-fleet fault. The drawn VP set is dense per-VP
+/// membership, built once at injection, so a probe's lookup is one
+/// index whatever the fleet size.
 #[derive(Debug)]
 struct ProbeFault {
-    vps: BTreeSet<u32>,
-    /// `None` = every letter.
-    letters: Option<BTreeSet<Letter>>,
+    /// Plan index of the fault that injected this entry.
+    plan_idx: usize,
+    /// `member[vp]`: whether the wave took VP `vp`.
+    member: Vec<bool>,
+    /// Letters in scope, one bit per [`Letter`]; all bits = every letter.
+    letters: u16,
     mode: ProbeFaultMode,
+}
+
+impl ProbeFault {
+    fn applies(&self, vp: u32, letter: Letter) -> bool {
+        self.letters & letter_bit(letter) != 0
+            && self.member.get(vp as usize).copied().unwrap_or(false)
+    }
+}
+
+fn letter_bit(letter: Letter) -> u16 {
+    1 << letter as u16
 }
 
 /// The live fault state other subsystems consult, owned by the world.
@@ -203,8 +220,8 @@ pub struct FaultState {
     /// Per-letter RSSAC capture multiplier; `0.0` = full gap. Letters
     /// absent from the map are monitored normally.
     rssac_factor: BTreeMap<Letter, f64>,
-    /// Active probe-fleet faults, keyed by plan index.
-    probe_faults: BTreeMap<usize, ProbeFault>,
+    /// Active probe-fleet faults, in injection order.
+    probe_faults: Vec<ProbeFault>,
 }
 
 impl FaultState {
@@ -219,14 +236,9 @@ impl FaultState {
     /// offline VP cannot probe no matter what firmware it runs.
     pub fn probe_action(&self, vp: u32, letter: Letter) -> ProbeAction {
         let mut action = ProbeAction::Normal;
-        for fault in self.probe_faults.values() {
-            if !fault.vps.contains(&vp) {
+        for fault in &self.probe_faults {
+            if !fault.applies(vp, letter) {
                 continue;
-            }
-            if let Some(scope) = &fault.letters {
-                if !scope.contains(&letter) {
-                    continue;
-                }
             }
             match fault.mode {
                 ProbeFaultMode::Skip => return ProbeAction::Skip,
@@ -326,40 +338,29 @@ impl FaultInjector {
                 }
             }
             FaultKind::ProbeDropout { fraction, letters } => {
-                if inject {
-                    let vps = self.draw_vps(world, *fraction);
-                    note = format!(" ({} VPs)", vps.len());
-                    world.faults.probe_faults.insert(
-                        idx,
-                        ProbeFault {
-                            vps,
-                            letters: if letters.is_empty() {
-                                None
-                            } else {
-                                Some(letters.iter().copied().collect())
-                            },
-                            mode: ProbeFaultMode::Skip,
-                        },
-                    );
+                let scope = if letters.is_empty() {
+                    u16::MAX
                 } else {
-                    world.faults.probe_faults.remove(&idx);
-                }
+                    letters.iter().fold(0, |m, &l| m | letter_bit(l))
+                };
+                note = self.toggle_probe_fault(
+                    world,
+                    idx,
+                    inject,
+                    *fraction,
+                    scope,
+                    ProbeFaultMode::Skip,
+                );
             }
             FaultKind::FirmwareDowngrade { fraction } => {
-                if inject {
-                    let vps = self.draw_vps(world, *fraction);
-                    note = format!(" ({} VPs)", vps.len());
-                    world.faults.probe_faults.insert(
-                        idx,
-                        ProbeFault {
-                            vps,
-                            letters: None,
-                            mode: ProbeFaultMode::Discard,
-                        },
-                    );
-                } else {
-                    world.faults.probe_faults.remove(&idx);
-                }
+                note = self.toggle_probe_fault(
+                    world,
+                    idx,
+                    inject,
+                    *fraction,
+                    u16::MAX,
+                    ProbeFaultMode::Discard,
+                );
             }
             FaultKind::CollectorBlackout { letter } => match world.collectors.get_mut(letter) {
                 Some(c) => c.set_dark(t, inject),
@@ -377,17 +378,45 @@ impl FaultInjector {
         }
     }
 
+    /// Inject (drawing its VPs) or recover the probe fault at plan
+    /// index `idx`; returns the record's note (the drawn VP count).
+    fn toggle_probe_fault(
+        &mut self,
+        world: &mut SimWorld,
+        idx: usize,
+        inject: bool,
+        fraction: f64,
+        letters: u16,
+        mode: ProbeFaultMode,
+    ) -> String {
+        if !inject {
+            world.faults.probe_faults.retain(|f| f.plan_idx != idx);
+            return String::new();
+        }
+        let (member, n) = self.draw_vps(world, fraction);
+        world.faults.probe_faults.push(ProbeFault {
+            plan_idx: idx,
+            member,
+            letters,
+            mode,
+        });
+        format!(" ({n} VPs)")
+    }
+
     /// Pick each kept (non-excluded) VP independently with probability
-    /// `fraction`, from the injector's own stream.
-    fn draw_vps(&mut self, world: &SimWorld, fraction: f64) -> BTreeSet<u32> {
+    /// `fraction`, from the injector's own stream. Returns per-VP
+    /// membership over the whole fleet and the number drawn.
+    fn draw_vps(&mut self, world: &SimWorld, fraction: f64) -> (Vec<bool>, usize) {
         let excluded = world.cleaning.excluded_set();
-        world
-            .fleet
-            .iter()
-            .filter(|vp| !excluded.contains(&vp.id))
-            .filter(|_| self.rng.gen_bool(fraction))
-            .map(|vp| vp.id.0)
-            .collect()
+        let mut member = vec![false; world.fleet.len()];
+        let mut n = 0;
+        for vp in world.fleet.iter() {
+            if !excluded.contains(&vp.id) && self.rng.gen_bool(fraction) {
+                member[vp.id.0 as usize] = true;
+                n += 1;
+            }
+        }
+        (member, n)
     }
 }
 
@@ -551,6 +580,98 @@ mod tests {
         let (b, _) = run_wave();
         assert_eq!(a, b, "dropout membership must be seed-deterministic");
         assert!(active);
+    }
+
+    #[test]
+    fn overlapping_probe_faults_compose() {
+        let mut cfg = ScenarioConfig::small();
+        cfg.horizon = SimTime::from_mins(30);
+        cfg.pipeline.horizon = cfg.horizon;
+        let plan = FaultPlan::none()
+            .with(
+                SimTime::from_mins(2),
+                SimDuration::from_mins(10),
+                FaultKind::ProbeDropout {
+                    fraction: 0.5,
+                    letters: vec![Letter::E],
+                },
+            )
+            .with(
+                SimTime::from_mins(2),
+                SimDuration::from_mins(20),
+                FaultKind::FirmwareDowngrade { fraction: 0.5 },
+            );
+        let rngf = SimRng::new(cfg.seed);
+        let mut obs = StatsCollector::default();
+        let mut world = world_fixture(&cfg, &rngf, &mut obs);
+        let mut inj = FaultInjector::new(rngf.stream("faults"), plan);
+        let n = world.fleet.len() as u32;
+        inj.tick(&mut world, SimTime::from_mins(2));
+
+        let members = |plan_idx: usize| -> Vec<bool> {
+            let f = world.faults.probe_faults.iter();
+            f.filter(|f| f.plan_idx == plan_idx)
+                .map(|f| f.member.clone())
+                .next()
+                .expect("fault active")
+        };
+        let (dark, old) = (members(0), members(1));
+        assert!(
+            (0..n as usize).any(|vp| dark[vp] && old[vp]),
+            "the two waves overlap"
+        );
+        for vp in 0..n {
+            let (d, o) = (dark[vp as usize], old[vp as usize]);
+            let on_e = match (d, o) {
+                // Skip wins over Discard for VPs in both waves.
+                (true, _) => ProbeAction::Skip,
+                (false, true) => ProbeAction::Discard,
+                (false, false) => ProbeAction::Normal,
+            };
+            assert_eq!(world.faults.probe_action(vp, Letter::E), on_e, "vp {vp}");
+            // Outside the dropout's scope only the downgrade applies.
+            let off_scope = if o {
+                ProbeAction::Discard
+            } else {
+                ProbeAction::Normal
+            };
+            assert_eq!(world.faults.probe_action(vp, Letter::K), off_scope);
+        }
+        // VP ids at or beyond the fleet size belong to no wave.
+        for vp in [n, n + 1, u32::MAX] {
+            assert_eq!(
+                world.faults.probe_action(vp, Letter::E),
+                ProbeAction::Normal
+            );
+        }
+
+        // The dropout recovers first: its VPs fall back to Discard if
+        // downgraded, then everything is Normal once both recover.
+        inj.tick(&mut world, SimTime::from_mins(12));
+        for vp in 0..n {
+            let want = if old[vp as usize] {
+                ProbeAction::Discard
+            } else {
+                ProbeAction::Normal
+            };
+            assert_eq!(world.faults.probe_action(vp, Letter::E), want);
+        }
+        inj.tick(&mut world, SimTime::from_mins(22));
+        for vp in 0..n {
+            for letter in [Letter::A, Letter::E, Letter::K] {
+                assert_eq!(world.faults.probe_action(vp, letter), ProbeAction::Normal);
+            }
+        }
+        assert!(!world.faults.any_active());
+
+        let stats = obs.finish();
+        let drawn = |m: &[bool]| m.iter().filter(|&&b| b).count();
+        assert!(stats.faults[0]
+            .description
+            .ends_with(&format!("({} VPs)", drawn(&dark))));
+        assert!(stats.faults[1]
+            .description
+            .ends_with(&format!("({} VPs)", drawn(&old))));
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! Each (VP, letter) pair probes on its own phase of the letter's
 //! probing interval (4 min; 30 min for A-root, §2.4.1). The wheel is
-//! precomputed per minute slot — the full scenario would otherwise
-//! evaluate ~350 M phase checks — and each tick fans out per letter on
-//! rayon. Every (letter, minute) pair draws from its own named RNG
-//! stream and results are merged in letter order, so outputs are
-//! bit-identical at any thread count.
+//! precomputed per minute slot and letter — the full scenario would
+//! otherwise evaluate ~350 M phase checks — and each tick fans out per
+//! letter on rayon. Every (letter, minute) pair draws from its own named
+//! RNG stream and records into its own letter's pipeline shard, so
+//! outputs are bit-identical at any thread count.
 
 use crate::engine::faults::ProbeAction;
 use crate::engine::metrics::keys;
@@ -14,8 +14,8 @@ use crate::engine::{SimWorld, Subsystem};
 use rayon::prelude::*;
 use rootcast_anycast::AnycastService;
 use rootcast_atlas::{
-    clean_outcome, execute_probe, execute_probe_fused, ChaosTarget, CleanObs, FastObs, IndexedView,
-    TargetView, VpId,
+    clean_outcome, execute_probe, execute_probe_fused, ChaosTarget, CleanObs, IndexedView,
+    LetterShard, TargetView, VpId,
 };
 use rootcast_dns::Letter;
 use rootcast_netsim::{SimDuration, SimTime};
@@ -41,20 +41,24 @@ impl ChaosTarget for ServiceTarget<'_> {
     }
 }
 
-/// The probing subsystem: a wheel of (VP index, letter index) pairs per
-/// minute slot, cycling every lcm(intervals) minutes.
+/// The probing subsystem: per minute slot, the VPs due for each letter,
+/// cycling every lcm(intervals) minutes.
 ///
 /// Probes execute on the fused path by default: the service's catchment
 /// view is resolved straight to the pipeline's site *index* (via a
-/// per-letter map precomputed at construction) and recorded without the
-/// wire-format string round trip. The
+/// per-letter map precomputed at construction) and recorded in place
+/// into the letter's [`LetterShard`](rootcast_atlas::LetterShard)
+/// inside the per-letter fan-out — no per-probe allocation, no strings,
+/// no serial merge. The
 /// [`reference_kernels`](crate::config::ScenarioConfig::reference_kernels)
 /// flag selects the legacy `execute_probe` → `clean_outcome` → `record`
 /// path instead; both draw the identical RNG sequence and produce
 /// bit-identical pipelines.
 pub struct ProbeWheel {
-    wheel: Vec<Vec<(u32, usize)>>,
-    wheel_period: usize,
+    /// Per minute slot, per letter index: the VPs due, in VP order.
+    wheel: Vec<Vec<Vec<u32>>>,
+    /// Per letter index: the `"probes-{letter}"` RNG stream key.
+    stream_keys: Vec<String>,
     /// Per letter index: service site index → pipeline site index.
     site_map: Vec<Vec<u16>>,
     /// Use the string-roundtrip reference probe path.
@@ -76,7 +80,8 @@ impl ProbeWheel {
         let a_interval_minutes = cfg.a_probe_interval.as_secs() / 60;
         let wheel_period = lcm(interval_minutes.max(1), a_interval_minutes.max(1)) as usize;
         let excluded = world.cleaning.excluded_set();
-        let mut wheel: Vec<Vec<(u32, usize)>> = vec![Vec::new(); wheel_period];
+        let mut wheel: Vec<Vec<Vec<u32>>> =
+            vec![vec![Vec::new(); world.letters.len()]; wheel_period];
         for vp in world.fleet.iter() {
             if excluded.contains(&vp.id) {
                 continue;
@@ -93,11 +98,16 @@ impl ProbeWheel {
                     % interval;
                 let mut slot = phase as usize;
                 while slot < wheel_period {
-                    wheel[slot].push((vp.id.0, i));
+                    wheel[slot][i].push(vp.id.0);
                     slot += interval as usize;
                 }
             }
         }
+        let stream_keys = world
+            .letters
+            .iter()
+            .map(|letter| format!("probes-{letter}"))
+            .collect();
         // Pipeline site indices in service-site order, resolved once so
         // the fused path never touches an airport-code string.
         let site_map = world
@@ -118,7 +128,7 @@ impl ProbeWheel {
             .collect();
         ProbeWheel {
             wheel,
-            wheel_period,
+            stream_keys,
             site_map,
             reference: cfg.reference_kernels,
         }
@@ -126,12 +136,21 @@ impl ProbeWheel {
 
     /// Number of minute slots before the wheel repeats.
     pub fn period(&self) -> usize {
-        self.wheel_period
+        self.wheel.len()
     }
 
-    /// The (VP, letter index) pairs due in minute `m`.
-    pub fn due(&self, minute: u64) -> &[(u32, usize)] {
-        &self.wheel[(minute as usize) % self.wheel_period]
+    /// The (VP, letter index) pairs due in minute `m`, letter by letter
+    /// and in VP order within a letter.
+    pub fn due(&self, minute: u64) -> impl Iterator<Item = (u32, usize)> + '_ {
+        self.slot(minute)
+            .iter()
+            .enumerate()
+            .flat_map(|(i, vps)| vps.iter().map(move |&vp| (vp, i)))
+    }
+
+    /// Per letter index, the VPs due in minute `m`.
+    fn slot(&self, minute: u64) -> &[Vec<u32>] {
+        &self.wheel[(minute as usize) % self.wheel.len()]
     }
 }
 
@@ -146,11 +165,8 @@ impl Subsystem for ProbeWheel {
 
     fn tick(&mut self, world: &mut SimWorld, t: SimTime) -> Vec<SimTime> {
         let minute = t.as_secs() / 60;
-        // Partition this slot's work per letter, preserving VP order.
-        let mut per_letter: Vec<Vec<u32>> = vec![Vec::new(); world.letters.len()];
-        for &(vp_id, i) in self.due(minute) {
-            per_letter[i].push(vp_id);
-        }
+        let slot = self.slot(minute);
+        let (stream_keys, site_map) = (&self.stream_keys, &self.site_map);
         let (services, fleet, letters, rngf, faults) = (
             &world.services,
             &world.fleet,
@@ -158,19 +174,22 @@ impl Subsystem for ProbeWheel {
             world.rng_factory,
             &world.faults,
         );
-        // `None` observations are missed probes: a dropped-out VP never
-        // probes (no RNG draw), a firmware-downgraded VP probes (same
-        // draws as a healthy run) but its measurement is unusable.
+        let due: usize = slot.iter().map(Vec::len).sum();
+        // A dropped-out VP (Skip) never probes (no RNG draw); a
+        // firmware-downgraded VP (Discard) probes with the same draws as
+        // a healthy run but its measurement is unusable. Both count as
+        // missed.
         if self.reference {
             // Reference path: textual CHAOS identities, parsed back by
-            // the cleaning stage, recorded by airport code.
+            // the cleaning stage, recorded by airport code after a
+            // serial merge in letter order.
             let results: Vec<Vec<(VpId, Option<CleanObs>)>> = (0..letters.len())
                 .into_par_iter()
                 .map(|i| {
                     let letter = letters[i];
-                    let mut rng = rngf.indexed_stream(&format!("probes-{letter}"), minute);
+                    let mut rng = rngf.indexed_stream(&stream_keys[i], minute);
                     let target = ServiceTarget { svc: &services[i] };
-                    per_letter[i]
+                    slot[i]
                         .iter()
                         .map(|&vp_id| match faults.probe_action(vp_id, letter) {
                             ProbeAction::Skip => (VpId(vp_id), None),
@@ -189,10 +208,7 @@ impl Subsystem for ProbeWheel {
                 })
                 .collect();
             for (i, letter_obs) in results.into_iter().enumerate() {
-                let letter = world.letters[i];
-                world
-                    .metrics
-                    .inc(keys::PROBES_REFERENCE, letter_obs.len() as u64);
+                let letter = letters[i];
                 for (vp, obs) in letter_obs {
                     let recorded = match obs {
                         Some(obs) => world.pipeline.record(vp, letter, t, &obs),
@@ -207,67 +223,39 @@ impl Subsystem for ProbeWheel {
                     }
                 }
             }
+            world.metrics.inc(keys::PROBES_REFERENCE, due as u64);
         } else {
-            // Fused path: catchment views resolved straight to pipeline
-            // site indices; same RNG draws (a Discard probe still
-            // executes), same observations, no strings.
-            let site_map = &self.site_map;
-            let results: Vec<Vec<(VpId, Option<FastObs>)>> = (0..letters.len())
-                .into_par_iter()
-                .map(|i| {
-                    let letter = letters[i];
-                    let mut rng = rngf.indexed_stream(&format!("probes-{letter}"), minute);
-                    let svc = &services[i];
-                    let sites = &site_map[i];
-                    per_letter[i]
-                        .iter()
-                        .map(|&vp_id| match faults.probe_action(vp_id, letter) {
-                            ProbeAction::Skip => (VpId(vp_id), None),
-                            ProbeAction::Discard => {
-                                let vp = fleet.vp(VpId(vp_id));
-                                let view = svc.probe_view(vp.asn, vp.client_hash()).map(|pv| {
-                                    IndexedView::new(
-                                        sites[pv.site],
-                                        pv.server,
-                                        pv.rtt,
-                                        pv.drop_prob,
-                                    )
-                                });
-                                let _ = execute_probe_fused(vp, view, &mut rng);
-                                (vp.id, None)
-                            }
-                            ProbeAction::Normal => {
-                                let vp = fleet.vp(VpId(vp_id));
-                                let view = svc.probe_view(vp.asn, vp.client_hash()).map(|pv| {
-                                    IndexedView::new(
-                                        sites[pv.site],
-                                        pv.server,
-                                        pv.rtt,
-                                        pv.drop_prob,
-                                    )
-                                });
-                                (vp.id, Some(execute_probe_fused(vp, view, &mut rng)))
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            for (i, letter_obs) in results.into_iter().enumerate() {
-                let letter = world.letters[i];
-                world
-                    .metrics
-                    .inc(keys::PROBES_FUSED, letter_obs.len() as u64);
-                for (vp, obs) in letter_obs {
-                    let recorded = match obs {
-                        Some(obs) => world.pipeline.record_fast(vp, letter, t, obs),
-                        None => world.pipeline.note_missed(letter, t),
-                    };
-                    if let Err(err) = recorded {
+            // Fused path: each letter probes and records into its own
+            // pipeline shard (registered in `world.letters` order) on
+            // its own RNG stream; nothing is buffered or merged.
+            let mut shards: Vec<(usize, LetterShard<'_>)> =
+                world.pipeline.shards().into_iter().enumerate().collect();
+            shards.par_iter_mut().for_each(|(i, shard)| {
+                let i = *i;
+                let letter = letters[i];
+                debug_assert_eq!(shard.letter(), letter);
+                let mut rng = rngf.indexed_stream(&stream_keys[i], minute);
+                let (svc, sites) = (&services[i], &site_map[i]);
+                for &vp_id in &slot[i] {
+                    let action = faults.probe_action(vp_id, letter);
+                    if action == ProbeAction::Skip {
+                        shard.note_missed(t);
+                        continue;
+                    }
+                    let vp = fleet.vp(VpId(vp_id));
+                    let view = svc.probe_view(vp.asn, vp.client_hash()).map(|pv| {
+                        IndexedView::new(sites[pv.site], pv.server, pv.rtt, pv.drop_prob)
+                    });
+                    let obs = execute_probe_fused(vp, view, &mut rng);
+                    if action == ProbeAction::Discard {
+                        shard.note_missed(t);
+                    } else if let Err(err) = shard.record(vp.id, t, obs) {
                         debug_assert!(false, "pipeline rejected wheel observation: {err}");
                         let _ = err;
                     }
                 }
-            }
+            });
+            world.metrics.inc(keys::PROBES_FUSED, due as u64);
         }
         vec![t + SimDuration::from_mins(1)]
     }
@@ -314,7 +302,7 @@ mod tests {
         // Across one full period every kept VP hits every letter at the
         // letter's own frequency: 60/4 for the 12 non-A letters, 60/30
         // for A.
-        let total: usize = (0..60).map(|m| wheel.due(m).len()).sum();
+        let total: usize = (0..60).map(|m| wheel.due(m).count()).sum();
         assert_eq!(total, kept * (12 * 15 + 2));
         // A single interval of 4 minutes contains each (VP, non-A
         // letter) pair exactly once.
@@ -325,7 +313,7 @@ mod tests {
             .expect("A present");
         let mut non_a = 0;
         for m in 0..4 {
-            non_a += wheel.due(m).iter().filter(|&&(_, i)| i != a_idx).count();
+            non_a += wheel.due(m).filter(|&(_, i)| i != a_idx).count();
         }
         assert_eq!(non_a, kept * 12);
     }
