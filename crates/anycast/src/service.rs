@@ -54,9 +54,14 @@ pub struct AnycastService {
     /// Per-AS flag: did this AS's chosen route change in the most recent
     /// recompute? Valid whenever `epoch > 1`.
     changed: Vec<bool>,
-    /// Reusable announcement buffer for recomputes.
+    /// Per-site announcement set `rib` was computed from.
     active: Vec<bool>,
+    /// Per-site announcement set `rib_prev` was computed from (empty
+    /// until the first recompute, so it never matches a real set).
+    active_prev: Vec<bool>,
     rib_scratch: RibScratch,
+    /// Recomputes answered by swapping `rib_prev` back in (flip-backs).
+    rib_reuses: u64,
 }
 
 /// Cached per-site weight sums for one `(service RIB, weight vector)`
@@ -153,7 +158,9 @@ impl AnycastService {
             rib_prev: Rib::unreachable(graph.len()),
             changed: vec![false; graph.len()],
             active,
+            active_prev: Vec::new(),
             rib_scratch,
+            rib_reuses: 0,
         }
     }
 
@@ -260,11 +267,20 @@ impl AnycastService {
         true
     }
 
-    /// Scratch-buffer reuse stats of this service's RIB recomputes:
+    /// Scratch-buffer reuse stats of this service's RIB solver runs:
     /// `(reuses, allocs)` from the underlying
-    /// [`RibScratch`](rootcast_bgp::RibScratch).
+    /// [`RibScratch`](rootcast_bgp::RibScratch). Flip-backs (see
+    /// [`Self::rib_reuses`]) run no solver and count in neither.
     pub fn scratch_stats(&self) -> (u64, u64) {
         self.rib_scratch.reuse_stats()
+    }
+
+    /// How many recomputes were flip-backs: the announced set equalled
+    /// the one behind the previous table, so that table was swapped back
+    /// in instead of solving again. Every recompute, reused or solved,
+    /// bumps the catchment epoch.
+    pub fn rib_reuses(&self) -> u64 {
+        self.rib_reuses
     }
 
     /// Phase 1 of a fluid step: account the offered load into facility
@@ -393,20 +409,43 @@ impl AnycastService {
     }
 
     fn recompute_rib(&mut self, graph: &AsGraph) {
-        self.active.clear();
-        self.active.extend(self.sites.iter().map(|s| s.announced));
-        // Double-buffer: the outgoing table becomes the scratch target of
-        // the next recompute, and diffing the two yields the exact set of
-        // ASes whose routes moved (consumed by the collector fast path).
+        // Double-buffer the table and the announcement set behind it: the
+        // outgoing table becomes the scratch target of the next recompute,
+        // and diffing the two yields the exact set of ASes whose routes
+        // moved (consumed by the collector fast path).
         std::mem::swap(&mut self.rib, &mut self.rib_prev);
-        compute_rib_scoped_into(
-            graph,
-            &self.origins,
-            &self.active,
-            &mut self.rib,
-            &mut self.rib_scratch,
-        );
-        self.rib.diff_into(&self.rib_prev, &mut self.changed);
+        std::mem::swap(&mut self.active, &mut self.active_prev);
+        let announced = self.sites.iter().map(|s| s.announced);
+        if self.active.iter().copied().eq(announced.clone()) {
+            // Flip-back: the swapped-in table was solved from this very
+            // set, so it is already the answer. `changed` still holds the
+            // diff of the same two tables, and the diff is symmetric.
+            self.rib_reuses += 1;
+            debug_assert!(
+                self.rib == rootcast_bgp::compute_rib_scoped(graph, &self.origins, &self.active),
+                "{}: reused RIB differs from a fresh solve",
+                self.name
+            );
+            debug_assert!(
+                self.changed.iter().enumerate().all(|(i, &c)| {
+                    let asn = AsId(i as u32);
+                    c == (self.rib.route(asn) != self.rib_prev.route(asn))
+                }),
+                "{}: reused changed-AS set is stale",
+                self.name
+            );
+        } else {
+            self.active.clear();
+            self.active.extend(announced);
+            compute_rib_scoped_into(
+                graph,
+                &self.origins,
+                &self.active,
+                &mut self.rib,
+                &mut self.rib_scratch,
+            );
+            self.rib.diff_into(&self.rib_prev, &mut self.changed);
+        }
         self.epoch += 1;
     }
 
@@ -465,6 +504,7 @@ impl AnycastService {
 mod tests {
     use super::*;
     use crate::policy::LoadBalancerMode;
+    use rootcast_bgp::compute_rib_scoped;
     use rootcast_netsim::SimRng;
     use rootcast_topology::{gen, Tier, TopologyParams};
 
@@ -627,6 +667,123 @@ mod tests {
         assert_eq!(svc.rib().catchment_sizes(2)[0], 0);
         assert!(svc.set_announced(0, true, &g));
         assert!(svc.rib().catchment_sizes(2)[0] > 0);
+    }
+
+    /// Three global sites on a tiny graph: 0 absorbs, 1 and 2 withdraw
+    /// the moment they pass twice capacity and retry after 10 minutes.
+    fn flipping() -> (AsGraph, AnycastService) {
+        let g = gen::generate(&TopologyParams::tiny(), &SimRng::new(5));
+        let stubs = g.by_tier(Tier::Stub);
+        let flip = StressPolicy::Withdraw {
+            overload_ratio: 2.0,
+            sustain: SimDuration::ZERO,
+            retry_after: Some(SimDuration::from_mins(10)),
+            after_episodes: 1,
+        };
+        let specs = vec![
+            SiteSpec::global("AMS", stubs[0], 1000.0),
+            SiteSpec::global("IAD", stubs[1], 1000.0).with_policy(flip),
+            SiteSpec::global("NRT", stubs[2], 1000.0).with_policy(flip),
+        ];
+        let svc = AnycastService::new("test", Some(Letter::K), &g, specs);
+        (g, svc)
+    }
+
+    /// Run one routing step and check it against the oracle: the RIB is a
+    /// fresh solve of the announced set, `changed_ases` is the element-wise
+    /// diff against the table before the step, and the epoch moved by one.
+    fn step<T>(
+        g: &AsGraph,
+        svc: &mut AnycastService,
+        f: impl FnOnce(&mut AnycastService) -> T,
+    ) -> T {
+        let before = svc.rib().clone();
+        let epoch = svc.catchment_epoch();
+        let out = f(svc);
+        let active: Vec<bool> = svc.sites().iter().map(|s| s.announced).collect();
+        assert_eq!(*svc.rib(), compute_rib_scoped(g, &svc.origins, &active));
+        let diff: Vec<bool> = (0..g.len() as u32)
+            .map(|i| before.route(AsId(i)) != svc.rib().route(AsId(i)))
+            .collect();
+        assert_eq!(svc.changed_ases(), &diff[..]);
+        assert_eq!(svc.catchment_epoch(), epoch + 1);
+        out
+    }
+
+    /// Advance every queue to minute `m` under `offered` and run policies.
+    fn policy_step(
+        g: &AsGraph,
+        svc: &mut AnycastService,
+        m: u64,
+        offered: [f64; 3],
+    ) -> RoutingChanges {
+        let t = SimTime::from_mins(m);
+        step(g, svc, |svc| {
+            svc.advance_queues(t, &offered, &FacilityTable::new());
+            svc.apply_policies(t, g)
+        })
+    }
+
+    const HOT_1: [f64; 3] = [0.0, 10_000.0, 0.0];
+    const HOT_2: [f64; 3] = [0.0, 0.0, 10_000.0];
+    const IDLE: [f64; 3] = [0.0; 3];
+
+    #[test]
+    fn flip_backs_reuse_the_previous_table() {
+        let (g, mut svc) = flipping();
+        // Withdraw, re-announce, withdraw, re-announce: every step after
+        // the first returns to the set behind the previous table.
+        assert_eq!(policy_step(&g, &mut svc, 1, HOT_1).withdrew, vec![1]);
+        assert_eq!(svc.rib_reuses(), 0);
+        assert_eq!(policy_step(&g, &mut svc, 12, IDLE).reannounced, vec![1]);
+        assert_eq!(policy_step(&g, &mut svc, 13, HOT_1).withdrew, vec![1]);
+        assert_eq!(policy_step(&g, &mut svc, 24, IDLE).reannounced, vec![1]);
+        assert_eq!(svc.rib_reuses(), 3);
+        // The solver ran twice: at construction and for the withdrawal.
+        assert_eq!(svc.scratch_stats(), (1, 1), "flip-backs ran the solver");
+    }
+
+    #[test]
+    fn a_return_after_two_steps_is_solved_not_reused() {
+        // A = {0,1,2} → B = {0,2} → C = {0} → A: the last step returns
+        // to a set two tables back, which the service no longer holds.
+        let (g, mut svc) = flipping();
+        assert_eq!(policy_step(&g, &mut svc, 1, HOT_1).withdrew, vec![1]);
+        assert_eq!(policy_step(&g, &mut svc, 2, HOT_2).withdrew, vec![2]);
+        let back = policy_step(&g, &mut svc, 12, IDLE);
+        assert_eq!(back.reannounced, vec![1, 2]);
+        assert_eq!(svc.announced_sites(), vec![0, 1, 2]);
+        assert_eq!(svc.rib_reuses(), 0);
+    }
+
+    #[test]
+    fn same_step_withdraw_and_reannounce_keeps_the_set() {
+        let (g, mut svc) = flipping();
+        policy_step(&g, &mut svc, 1, HOT_1);
+        // Site 1 comes back and trips again within one step: the set is
+        // unchanged, nothing moves, and the epoch still bumps.
+        let ch = policy_step(&g, &mut svc, 12, HOT_1);
+        assert_eq!((ch.reannounced, ch.withdrew), (vec![1], vec![1]));
+        assert!(svc.changed_ases().iter().all(|&c| !c));
+        assert_eq!(svc.rib_reuses(), 0);
+        // Now both tables come from the same set, so a repeat is a reuse.
+        policy_step(&g, &mut svc, 23, HOT_1);
+        assert!(svc.changed_ases().iter().all(|&c| !c));
+        assert_eq!(svc.rib_reuses(), 1);
+    }
+
+    #[test]
+    fn set_announced_flip_backs_reuse() {
+        let (g, mut svc) = flipping();
+        assert!(step(&g, &mut svc, |s| s.set_announced(0, false, &g)));
+        assert!(step(&g, &mut svc, |s| s.set_announced(0, true, &g)));
+        assert!(step(&g, &mut svc, |s| s.set_announced(0, false, &g)));
+        assert!(step(&g, &mut svc, |s| s.set_announced(2, false, &g)));
+        assert!(step(&g, &mut svc, |s| s.set_announced(2, true, &g)));
+        assert_eq!(svc.rib_reuses(), 3);
+        let epoch = svc.catchment_epoch();
+        assert!(!svc.set_announced(2, true, &g), "no-op returns false");
+        assert_eq!(svc.catchment_epoch(), epoch);
     }
 
     #[test]

@@ -100,21 +100,42 @@ impl ResolverPopulation {
     /// that a resolver needs both its query and the answer to survive,
     /// and that losses trigger costly retries it learns to avoid.
     pub fn update_as(&mut self, asn: usize, obs: &[LetterObservation; 13]) {
-        let mut weights = [0.0f64; 13];
-        for (w, o) in weights.iter_mut().zip(obs) {
-            if let Some(rtt) = o.rtt {
-                let rtt_ms = rtt.as_millis_f64().max(0.1);
-                let delivery = (1.0 - o.loss).clamp(0.0, 1.0);
-                *w = (1000.0 / (rtt_ms + 5.0)).powf(self.alpha) * delivery * delivery;
+        let alpha = self.alpha;
+        let row = &mut self.shares[asn];
+        for (w, o) in row.iter_mut().zip(obs) {
+            *w = raw_weight(alpha, o);
+        }
+        normalize(row);
+    }
+
+    /// Re-derive the preferences of every populated AS
+    /// (`pop_weights[asn] > 0`) letter by letter: `observe(letter, asn)`
+    /// is called for one letter across all populated ASes before the
+    /// next letter, so a caller reading each letter's routing table walks
+    /// one table at a time. The raw weights go straight into the share
+    /// rows, and each row is then normalized as [`Self::update_as`] does,
+    /// so the result is bit-identical to calling it per AS. Unpopulated
+    /// rows keep their shares.
+    pub fn refresh(
+        &mut self,
+        pop_weights: &[f64],
+        mut observe: impl FnMut(Letter, usize) -> LetterObservation,
+    ) {
+        assert_eq!(pop_weights.len(), self.shares.len());
+        let alpha = self.alpha;
+        for letter in Letter::ALL {
+            let li = letter as usize;
+            for (asn, (row, &pw)) in self.shares.iter_mut().zip(pop_weights).enumerate() {
+                if pw > 0.0 {
+                    row[li] = raw_weight(alpha, &observe(letter, asn));
+                }
             }
         }
-        let total: f64 = weights.iter().sum();
-        if total > 0.0 {
-            for w in &mut weights {
-                *w /= total;
+        for (row, &pw) in self.shares.iter_mut().zip(pop_weights) {
+            if pw > 0.0 {
+                normalize(row);
             }
         }
-        self.shares[asn] = weights;
     }
 
     /// Aggregate share of the whole population's queries going to each
@@ -140,13 +161,46 @@ impl ResolverPopulation {
     /// [`AnycastService::offered_per_site`]:
     ///     ../../rootcast_anycast/service/struct.AnycastService.html#method.offered_per_site
     pub fn letter_weights(&self, letter: Letter, pop_weights: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.letter_weights_into(letter, pop_weights, &mut out);
+        out
+    }
+
+    /// [`Self::letter_weights`] into a caller-owned vector.
+    pub fn letter_weights_into(&self, letter: Letter, pop_weights: &[f64], out: &mut Vec<f64>) {
         assert_eq!(pop_weights.len(), self.shares.len());
         let li = letter as usize;
-        self.shares
-            .iter()
-            .zip(pop_weights)
-            .map(|(row, &pw)| pw * row[li])
-            .collect()
+        out.clear();
+        out.extend(
+            self.shares
+                .iter()
+                .zip(pop_weights)
+                .map(|(row, &pw)| pw * row[li]),
+        );
+    }
+}
+
+/// Raw preference weight of one observation (see
+/// [`ResolverPopulation::update_as`]).
+fn raw_weight(alpha: f64, o: &LetterObservation) -> f64 {
+    match o.rtt {
+        Some(rtt) => {
+            let rtt_ms = rtt.as_millis_f64().max(0.1);
+            let delivery = (1.0 - o.loss).clamp(0.0, 1.0);
+            (1000.0 / (rtt_ms + 5.0)).powf(alpha) * delivery * delivery
+        }
+        None => 0.0,
+    }
+}
+
+/// Scale a row of raw weights to sum to 1, summing in letter order; an
+/// all-zero row (nothing reachable) stays zero.
+fn normalize(row: &mut [f64; 13]) {
+    let total: f64 = row.iter().sum();
+    if total > 0.0 {
+        for w in row {
+            *w /= total;
+        }
     }
 }
 
@@ -233,6 +287,51 @@ mod tests {
         let o = [LetterObservation::unreachable(); 13];
         p.update_as(0, &o);
         assert_eq!(p.shares(0).iter().sum::<f64>(), 0.0);
+    }
+
+    /// A deterministic observation mix: unreachable letters, total loss,
+    /// partial loss, and one AS (5) that reaches nothing.
+    fn mixed_obs(letter: Letter, asn: usize) -> LetterObservation {
+        let l = letter as usize;
+        if asn == 5 || (asn + l).is_multiple_of(5) {
+            LetterObservation::unreachable()
+        } else if (asn * 3 + l).is_multiple_of(7) {
+            obs(40, 1.0)
+        } else {
+            obs(
+                5 + 17 * ((asn * 13 + l) % 11) as u64,
+                ((asn + 2 * l) % 4) as f64 * 0.2,
+            )
+        }
+    }
+
+    #[test]
+    fn letter_major_refresh_matches_per_as_updates() {
+        let pop = [0.2, 0.0, 0.3, 0.0, 0.4, 0.1];
+        let mut prior = ResolverPopulation::new(pop.len());
+        // Give the unpopulated rows distinctive shares to keep.
+        let mut o = [obs(50, 0.0); 13];
+        o[Letter::K as usize] = obs(10, 0.0);
+        prior.update_as(1, &o);
+        prior.update_as(3, &[obs(30, 0.5); 13]);
+
+        let mut letter_major = prior.clone();
+        letter_major.refresh(&pop, mixed_obs);
+        let mut per_as = prior.clone();
+        for (asn, _) in pop.iter().enumerate().filter(|(_, &pw)| pw > 0.0) {
+            let row = Letter::ALL.map(|l| mixed_obs(l, asn));
+            per_as.update_as(asn, &row);
+        }
+        for (asn, &pw) in pop.iter().enumerate() {
+            let bits = |p: &ResolverPopulation| p.shares(asn).map(f64::to_bits);
+            assert_eq!(bits(&letter_major), bits(&per_as), "AS {asn}");
+            if pw == 0.0 {
+                assert_eq!(bits(&letter_major), bits(&prior), "AS {asn} moved");
+            }
+        }
+        // The mix exercises every branch of the formula.
+        assert_eq!(letter_major.shares(5).iter().sum::<f64>(), 0.0);
+        assert!(letter_major.shares(0).contains(&0.0));
     }
 
     #[test]

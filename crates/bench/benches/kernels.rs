@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::SeedableRng;
 use rootcast::engine::{
-    FaultInjector, FaultKind, FaultPlan, FluidTraffic, NoopInstrumentation, ProbeWheel, SimWorld,
+    FaultInjector, FaultKind, FaultPlan, FluidTraffic, NoopInstrumentation, ProbeWheel,
+    ResolverRefresh, SimWorld,
 };
 use rootcast::{ScenarioConfig, Subsystem};
 use rootcast_anycast::{AnycastService, CatchmentIndex};
@@ -196,6 +197,43 @@ fn bench_catchment(c: &mut Criterion) {
     });
 }
 
+fn bench_rib_flip_back(c: &mut Criterion) {
+    // One K-root site withdraws and re-announces. After the first pair
+    // both steps return to the set behind the previous table, so the
+    // service swaps that table back in instead of solving again.
+    let graph = gen::generate(&TopologyParams::default(), &SimRng::new(1));
+    let d = rootcast::nov2015_deployments(&graph)
+        .into_iter()
+        .find(|d| d.letter == Letter::K)
+        .expect("K-root deployed");
+    let mut svc = AnycastService::new("k-root", Some(Letter::K), &graph, d.sites);
+    c.bench_function("rib_flip_back", |b| {
+        b.iter(|| {
+            svc.set_announced(0, false, &graph);
+            svc.set_announced(0, true, &graph);
+            black_box(svc.catchment_epoch())
+        })
+    });
+}
+
+fn bench_resolver_refresh(c: &mut Criterion) {
+    // One resolver refresh over the small scenario: every populated AS
+    // re-observes all 13 letters, then the 13 legitimate weight vectors
+    // and the aggregate shares are rebuilt.
+    let cfg = ScenarioConfig::small();
+    let rngf = SimRng::new(cfg.seed);
+    let mut obs = NoopInstrumentation;
+    let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
+    let mut refresh = ResolverRefresh::new(cfg.resolver_update);
+    let mut t = SimTime::ZERO;
+    c.bench_function("resolver_refresh_tick", |b| {
+        b.iter(|| {
+            t += cfg.resolver_update;
+            black_box(refresh.tick(&mut world, t))
+        })
+    });
+}
+
 fn bench_fluid_tick(c: &mut Criterion) {
     // One full fluid window over the small scenario: catchment loads,
     // shared facilities, ingress queues, and stress policies for all 13
@@ -270,6 +308,6 @@ fn bench_sketch(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(20);
-    targets = bench_topology, bench_bgp, bench_dns, bench_rrl, bench_fluid, bench_catchment, bench_fluid_tick, bench_probe_wheel_tick, bench_pipeline, bench_sketch
+    targets = bench_topology, bench_bgp, bench_dns, bench_rrl, bench_fluid, bench_catchment, bench_rib_flip_back, bench_resolver_refresh, bench_fluid_tick, bench_probe_wheel_tick, bench_pipeline, bench_sketch
 }
 criterion_main!(kernels);

@@ -29,31 +29,37 @@ pub mod keys {
     pub const SITE_SATURATION_ONSETS: CounterId = CounterId(3);
     pub const SITE_SATURATION_CLEARS: CounterId = CounterId(4);
     pub const POLICY_TRANSITIONS: CounterId = CounterId(5);
-    // BGP engine (counted at the engine's observe_routes choke point).
+    // BGP engine. `BGP_ROUTE_RECOMPUTES` counts every catchment-epoch
+    // bump at the engine's observe_routes choke point, flip-backs
+    // included; the scratch counters count RIB solver runs only, and
+    // `BGP_RIB_REUSES` counts the flip-backs that swapped the previous
+    // table back in instead of solving. The last three are settled from
+    // the services at the end of the run.
     pub const BGP_ROUTE_RECOMPUTES: CounterId = CounterId(6);
     pub const BGP_CHANGED_ASES: CounterId = CounterId(7);
     pub const BGP_COLLECTOR_UPDATES: CounterId = CounterId(8);
     pub const BGP_SCRATCH_REUSES: CounterId = CounterId(9);
     pub const BGP_SCRATCH_ALLOCS: CounterId = CounterId(10);
+    pub const BGP_RIB_REUSES: CounterId = CounterId(11);
     // RSSAC accounting.
-    pub const RSSAC_WINDOWS_OBSERVED: CounterId = CounterId(11);
-    pub const RSSAC_WINDOWS_GAPPED: CounterId = CounterId(12);
-    pub const RRL_ACTIVATIONS: CounterId = CounterId(13);
+    pub const RSSAC_WINDOWS_OBSERVED: CounterId = CounterId(12);
+    pub const RSSAC_WINDOWS_GAPPED: CounterId = CounterId(13);
+    pub const RRL_ACTIVATIONS: CounterId = CounterId(14);
     // Atlas probing.
-    pub const PROBES_FUSED: CounterId = CounterId(14);
-    pub const PROBES_REFERENCE: CounterId = CounterId(15);
-    pub const PROBES_SITE: CounterId = CounterId(16);
-    pub const PROBES_TIMEOUT: CounterId = CounterId(17);
-    pub const PROBES_ERROR: CounterId = CounterId(18);
-    pub const PROBES_MISSED: CounterId = CounterId(19);
+    pub const PROBES_FUSED: CounterId = CounterId(15);
+    pub const PROBES_REFERENCE: CounterId = CounterId(16);
+    pub const PROBES_SITE: CounterId = CounterId(17);
+    pub const PROBES_TIMEOUT: CounterId = CounterId(18);
+    pub const PROBES_ERROR: CounterId = CounterId(19);
+    pub const PROBES_MISSED: CounterId = CounterId(20);
     // Resolver refresh / maintenance / faults.
-    pub const RESOLVER_REFRESHES: CounterId = CounterId(20);
-    pub const MAINTENANCE_WITHDRAWALS: CounterId = CounterId(21);
-    pub const MAINTENANCE_REANNOUNCEMENTS: CounterId = CounterId(22);
-    pub const FAULT_INJECTIONS: CounterId = CounterId(23);
-    pub const FAULT_RECOVERIES: CounterId = CounterId(24);
+    pub const RESOLVER_REFRESHES: CounterId = CounterId(21);
+    pub const MAINTENANCE_WITHDRAWALS: CounterId = CounterId(22);
+    pub const MAINTENANCE_REANNOUNCEMENTS: CounterId = CounterId(23);
+    pub const FAULT_INJECTIONS: CounterId = CounterId(24);
+    pub const FAULT_RECOVERIES: CounterId = CounterId(25);
     // Trace bookkeeping.
-    pub const TRACE_EVENTS_DROPPED: CounterId = CounterId(25);
+    pub const TRACE_EVENTS_DROPPED: CounterId = CounterId(26);
 
     pub const SITES_SATURATED: GaugeId = GaugeId(0);
     pub const PEAK_OFFERED_QPS: GaugeId = GaugeId(1);
@@ -79,6 +85,7 @@ pub const COUNTER_NAMES: &[&str] = &[
     "bgp.collector_updates",
     "bgp.scratch.reuses",
     "bgp.scratch.allocs",
+    "bgp.rib_reuses",
     "rssac.windows.observed",
     "rssac.windows.gapped",
     "rssac.rrl_activations",
@@ -183,6 +190,7 @@ mod tests {
             COUNTER_NAMES[keys::BGP_ROUTE_RECOMPUTES.0],
             "bgp.route_recomputes"
         );
+        assert_eq!(COUNTER_NAMES[keys::BGP_RIB_REUSES.0], "bgp.rib_reuses");
         assert_eq!(
             COUNTER_NAMES[keys::TRACE_EVENTS_DROPPED.0],
             "trace.events_dropped"

@@ -11,6 +11,7 @@ use crate::engine::metrics::keys;
 use crate::engine::{SimWorld, Subsystem};
 use rootcast_attack::LetterObservation;
 use rootcast_netsim::{SimDuration, SimTime};
+use rootcast_topology::AsId;
 
 /// The resolver-population subsystem.
 #[derive(Debug)]
@@ -34,25 +35,26 @@ impl Subsystem for ResolverRefresh {
     }
 
     fn tick(&mut self, world: &mut SimWorld, t: SimTime) -> Vec<SimTime> {
-        for node in world.graph.nodes() {
-            let a = node.id.0 as usize;
-            if world.pop_weights[a] <= 0.0 {
-                continue;
-            }
-            let mut obs = [LetterObservation::unreachable(); 13];
-            for (i, &letter) in world.letters.iter().enumerate() {
-                let svc = &world.services[i];
-                if let Some(pv) = svc.probe_view(node.id, u64::from(node.id.0)) {
-                    obs[letter as usize] = LetterObservation {
-                        rtt: Some(pv.rtt),
-                        loss: pv.drop_prob,
-                    };
-                }
-            }
-            world.resolvers.update_as(a, &obs);
-        }
+        // Letter-major: one service's RIB at a time, not 13 RIBs per AS.
+        let mut service_of = [None; 13];
         for (i, &letter) in world.letters.iter().enumerate() {
-            world.legit_weights[i] = world.resolvers.letter_weights(letter, &world.pop_weights);
+            service_of[letter as usize] = Some(i);
+        }
+        let services = &world.services;
+        world.resolvers.refresh(&world.pop_weights, |letter, asn| {
+            service_of[letter as usize]
+                .and_then(|i| services[i].probe_view(AsId(asn as u32), asn as u64))
+                .map_or(LetterObservation::unreachable(), |pv| LetterObservation {
+                    rtt: Some(pv.rtt),
+                    loss: pv.drop_prob,
+                })
+        });
+        for (i, &letter) in world.letters.iter().enumerate() {
+            world.resolvers.letter_weights_into(
+                letter,
+                &world.pop_weights,
+                &mut world.legit_weights[i],
+            );
         }
         world.legit_weights_version += 1;
         world.metrics.inc(keys::RESOLVER_REFRESHES, 1);

@@ -173,9 +173,9 @@ fn drive_world(mut world: SimWorld<'_>) -> Result<SimOutput, RootcastError> {
     world.pipeline.finalize();
 
     // End-of-run metric settlement: stats accumulated inside the lower
-    // layers (pipeline outcomes, scratch-buffer reuse, fleet cleaning)
-    // are copied into the registry so the snapshot is the one place to
-    // look.
+    // layers (pipeline outcomes, scratch-buffer and RIB reuse, fleet
+    // cleaning) are copied into the registry so the snapshot is the one
+    // place to look.
     let outcomes = world.pipeline.outcome_stats();
     world.metrics.inc(keys::PROBES_SITE, outcomes.site);
     world.metrics.inc(keys::PROBES_TIMEOUT, outcomes.timeout);
@@ -192,6 +192,8 @@ fn drive_world(mut world: SimWorld<'_>) -> Result<SimOutput, RootcastError> {
     });
     world.metrics.inc(keys::BGP_SCRATCH_REUSES, reuses);
     world.metrics.inc(keys::BGP_SCRATCH_ALLOCS, allocs);
+    let rib_reuses = world.services.iter().map(|svc| svc.rib_reuses()).sum();
+    world.metrics.inc(keys::BGP_RIB_REUSES, rib_reuses);
     world
         .metrics
         .inc(keys::TRACE_EVENTS_DROPPED, world.trace.dropped_events());

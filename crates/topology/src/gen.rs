@@ -179,7 +179,8 @@ pub fn generate(params: &TopologyParams, rng_factory: &SimRng) -> AsGraph {
         t2
     };
     for &t2 in &tier2 {
-        let n_providers = rng.gen_range(2..=3.min(tier1.len()));
+        // Two or three upstreams, or every Tier-1 when there are fewer.
+        let n_providers = rng.gen_range(2.min(tier1.len())..=3.min(tier1.len()));
         let mut chosen: Vec<AsId> = Vec::new();
         while chosen.len() < n_providers {
             let w: Vec<f64> = tier1
@@ -215,6 +216,11 @@ pub fn generate(params: &TopologyParams, rng_factory: &SimRng) -> AsGraph {
 
     // Stubs: weighted city placement, 1–2 providers among nearby Tier-2s
     // (or, rarely, a Tier-1 — large enterprises buy direct transit).
+    // A stub's provider weights depend only on its city, so each pool's
+    // proximity row is computed once per city, on first use, and copied
+    // per stub with the providers already chosen zeroed.
+    let mut rows: [Vec<Option<Vec<f64>>>; 2] = [vec![None; cities.len()], vec![None; cities.len()]];
+    let mut w: Vec<f64> = Vec::new();
     for _ in 0..params.n_stub {
         let c = CityId(weighted_index(&mut rng, &weights) as u16);
         let s = g.add_node(Tier::Stub, c);
@@ -226,17 +232,17 @@ pub fn generate(params: &TopologyParams, rng_factory: &SimRng) -> AsGraph {
         let mut chosen: Vec<AsId> = Vec::new();
         while chosen.len() < n_providers {
             // 5% chance of buying transit straight from a Tier-1.
-            let pool: &[AsId] = if rng.gen_bool(0.05) { &tier1 } else { &tier2 };
-            let w: Vec<f64> = pool
-                .iter()
-                .map(|&p| {
-                    if chosen.contains(&p) {
-                        0.0
-                    } else {
-                        proximity_weight(&g, s, p)
-                    }
-                })
-                .collect();
+            let direct = rng.gen_bool(0.05);
+            let pool: &[AsId] = if direct { &tier1 } else { &tier2 };
+            let row = rows[usize::from(direct)][usize::from(c.0)]
+                .get_or_insert_with(|| pool.iter().map(|&p| proximity_weight(&g, s, p)).collect());
+            w.clear();
+            w.extend_from_slice(row);
+            for p in &chosen {
+                if let Some(i) = pool.iter().position(|q| q == p) {
+                    w[i] = 0.0;
+                }
+            }
             if w.iter().sum::<f64>() <= 0.0 {
                 break;
             }
@@ -313,6 +319,21 @@ mod tests {
     }
 
     #[test]
+    fn single_tier1_generates_a_valid_graph() {
+        // validate() accepts one Tier-1; every Tier-2 then buys transit
+        // from it alone.
+        let mut p = TopologyParams::tiny();
+        p.n_tier1 = 1;
+        assert_eq!(p.validate(), Ok(()));
+        let g = generate(&p, &SimRng::new(1));
+        assert!(g.validate().is_ok());
+        let t1 = g.by_tier(Tier::Tier1)[0];
+        for t2 in g.by_tier(Tier::Tier2) {
+            assert_eq!(g.relation(t2, t1), Some(Relation::Provider));
+        }
+    }
+
+    #[test]
     fn deterministic_for_same_seed() {
         let a = generate(&TopologyParams::tiny(), &SimRng::new(7));
         let b = generate(&TopologyParams::tiny(), &SimRng::new(7));
@@ -366,6 +387,48 @@ mod tests {
             });
             assert!(upstream.count() >= 2, "tier2 {t2} lacks redundancy");
         }
+    }
+
+    /// FNV-1a over every node's tier and city and its sorted adjacency
+    /// list (neighbor, relation): any change to a draw or a weight moves it.
+    fn structure_digest(g: &AsGraph) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |v: u64| {
+            for b in v.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        fold(g.len() as u64);
+        for node in g.nodes() {
+            fold(node.tier as u64);
+            fold(u64::from(node.city.0));
+            let adj = g.neighbors(node.id);
+            fold(adj.len() as u64);
+            for a in adj {
+                fold(u64::from(a.neighbor.0));
+                fold(a.relation as u64);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn generated_structure_is_pinned() {
+        // Pinned from the generator before its per-city proximity rows:
+        // the rows are a pure reformulation, so the graphs are unchanged.
+        let cases = [
+            (TopologyParams::default(), 1, 0x5f34_798b_400c_ac87),
+            (TopologyParams::default(), 20151130, 0xb909_d036_f814_49b1),
+            (TopologyParams::tiny(), 1, 0x82d7_d9f7_0516_19a1),
+            (TopologyParams::tiny(), 20151130, 0xdec9_7c4c_3c7a_37f9),
+        ];
+        let got: Vec<u64> = cases
+            .iter()
+            .map(|(params, seed, _)| structure_digest(&generate(params, &SimRng::new(*seed))))
+            .collect();
+        let want: Vec<u64> = cases.iter().map(|c| c.2).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
