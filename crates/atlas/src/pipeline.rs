@@ -238,8 +238,8 @@ impl Default for VpLetterState {
 /// resolved to a site, timed out, or errored, and how many scheduled
 /// probes produced nothing at all. Kept per letter and summed by
 /// [`MeasurementPipeline::outcome_stats`]; counted once per recorded
-/// probe regardless of which entry point (shard, fused or reference)
-/// delivered it.
+/// probe regardless of which entry point (shard, `record_fast` or
+/// `record`) delivered it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeOutcomeStats {
     pub site: u64,
@@ -256,7 +256,7 @@ pub struct ProbeOutcomeStats {
 /// [`LetterShard`]s so a per-letter fan-out records in place; the
 /// keyed entry points ([`MeasurementPipeline::record_fast`] and
 /// friends) resolve the letter and delegate to the same shard method.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MeasurementPipeline {
     cfg: PipelineConfig,
     n_vps: usize,

@@ -129,12 +129,6 @@ pub struct ScenarioConfig {
     /// [`Self::substrate_key`]: two configs differing only here can
     /// share one substrate.
     pub site_overrides: Vec<SiteOverride>,
-    /// Run the hot paths through their reference implementations instead
-    /// of the cached/fused kernels: catchment indices are invalidated
-    /// every tick, probes take the string round-trip path, and collectors
-    /// re-scan full tables. Outputs are bit-identical either way — this
-    /// toggle exists so the golden equivalence tests can prove it.
-    pub reference_kernels: bool,
     /// Structured event tracing (off by default). Enabling it never
     /// changes simulation outputs: the trace is an observer, and the
     /// determinism suite pins trace-on and trace-off runs bit-identical.
@@ -172,7 +166,6 @@ impl ScenarioConfig {
             nl_qps: 80_000.0,
             faults: FaultPlan::none(),
             site_overrides: Vec::new(),
-            reference_kernels: false,
             trace: TraceConfig::default(),
         }
     }

@@ -1,16 +1,14 @@
 //! Fluid traffic windows: the per-minute core of the simulation.
 //!
 //! Each tick distributes attack + legitimate load over every service's
-//! current catchments (fanned out per letter on rayon), pushes it
-//! through the shared-facility links and per-site ingress queues, and
-//! runs stress policies. The offered loads are published to
-//! [`FluidScratch`](crate::engine::FluidScratch) for the accounting
-//! subsystem ticking at the same instant.
+//! current catchments, pushes it through the shared-facility links and
+//! per-site ingress queues, and runs stress policies. The offered loads
+//! are published to [`FluidScratch`](crate::engine::FluidScratch) for
+//! the accounting subsystem ticking at the same instant.
 
 use crate::engine::metrics::keys;
 use crate::engine::trace::TraceEventKind;
 use crate::engine::{SimWorld, Subsystem};
-use rayon::prelude::*;
 use rootcast_anycast::CatchmentIndex;
 use rootcast_netsim::{SimDuration, SimTime};
 
@@ -19,16 +17,14 @@ use rootcast_netsim::{SimDuration, SimTime};
 /// results it produces live in the world (queue states, policy state,
 /// scratch).
 ///
-/// The cached tick is serial on purpose: with catchment indices the
-/// offered split is O(n_sites) per service — a few hundred flops — far
-/// below the cost of fanning tasks out to a thread pool, and a serial
-/// loop is trivially deterministic at any thread count. The reference
-/// path (`with_reference(true)`) keeps the original uncached rayon
-/// fan-out so equivalence tests can pin the two together.
+/// The tick is serial on purpose: with catchment indices the offered
+/// split is O(n_sites) per service — a few hundred flops — far below
+/// the cost of fanning tasks out to a thread pool, and a serial loop is
+/// trivially deterministic at any thread count. Tests audit every split
+/// against the uncached `AnycastService::offered_per_site`.
 #[derive(Debug)]
 pub struct FluidTraffic {
     step: SimDuration,
-    reference: bool,
     /// Attack-weight (botnet) index per service.
     atk_idx: Vec<CatchmentIndex>,
     /// Legit-weight (per-letter resolver, or population for `.nl`) index
@@ -46,18 +42,11 @@ impl FluidTraffic {
     pub fn new(step: SimDuration) -> FluidTraffic {
         FluidTraffic {
             step,
-            reference: false,
             atk_idx: Vec::new(),
             leg_idx: Vec::new(),
             leg: Vec::new(),
             saturated: Vec::new(),
         }
-    }
-
-    /// Select the uncached reference implementation (golden tests only).
-    pub fn with_reference(mut self, reference: bool) -> FluidTraffic {
-        self.reference = reference;
-        self
     }
 }
 
@@ -82,87 +71,50 @@ impl Subsystem for FluidTraffic {
         let mut offered = std::mem::take(&mut world.fluid.offered);
         let mut offered_attack = std::mem::take(&mut world.fluid.offered_attack);
 
-        if self.reference {
-            // Reference path: uncached, one rayon task per service.
-            let (services, botnet, legit_weights, pop_weights, legit_shares) = (
-                &world.services,
-                &world.botnet,
-                &world.legit_weights,
-                &world.pop_weights,
-                &world.legit_shares,
-            );
-            let loads: Vec<(Vec<f64>, Vec<f64>)> = (0..services.len())
-                .into_par_iter()
-                .map(|i| {
-                    let svc = &services[i];
-                    if let Some(letter) = svc.letter {
-                        let atk_rate = cfg.attack.rate_for(letter, window_start);
-                        let atk = svc.offered_per_site(botnet.weights(), atk_rate);
-                        let leg = svc.offered_per_site(
-                            &legit_weights[i],
-                            cfg.legit_total_qps * legit_shares[letter as usize],
-                        );
-                        let sum: Vec<f64> = atk.iter().zip(&leg).map(|(a, b)| a + b).collect();
-                        (atk, sum)
-                    } else {
-                        let leg = svc.offered_per_site(pop_weights, cfg.nl_qps);
-                        (vec![0.0; leg.len()], leg)
-                    }
-                })
-                .collect();
-            let unzipped: (Vec<_>, Vec<_>) = loads.into_iter().unzip();
-            offered_attack = unzipped.0;
-            offered = unzipped.1;
-        } else {
-            // Cached path: per-site weight sums keyed on (catchment
-            // epoch, weight version) make each split O(n_sites); the
-            // fills share their arithmetic with `offered_per_site`, so
-            // the loads are bit-identical to the reference path.
-            offered.resize_with(n, Vec::new);
-            offered_attack.resize_with(n, Vec::new);
-            self.atk_idx.resize_with(n, Default::default);
-            self.leg_idx.resize_with(n, Default::default);
-            let (mut hits, mut rebuilds) = (0u64, 0u64);
-            let mut note = |rebuilt: bool| {
-                if rebuilt {
-                    rebuilds += 1;
-                } else {
-                    hits += 1;
-                }
-            };
-            for i in 0..n {
-                let svc = &world.services[i];
-                let atk_out = &mut offered_attack[i];
-                let out = &mut offered[i];
-                if let Some(letter) = svc.letter {
-                    let atk_rate = cfg.attack.rate_for(letter, window_start);
-                    note(svc.refresh_catchment_index(
-                        &mut self.atk_idx[i],
-                        world.botnet.weights(),
-                        1,
-                    ));
-                    self.atk_idx[i].offered_per_site_into(atk_rate, atk_out);
-                    note(svc.refresh_catchment_index(
-                        &mut self.leg_idx[i],
-                        &world.legit_weights[i],
-                        world.legit_weights_version,
-                    ));
-                    self.leg_idx[i].offered_per_site_into(
-                        cfg.legit_total_qps * world.legit_shares[letter as usize],
-                        &mut self.leg,
-                    );
-                    out.clear();
-                    out.extend(atk_out.iter().zip(&self.leg).map(|(a, b)| a + b));
-                } else {
-                    note(svc.refresh_catchment_index(&mut self.leg_idx[i], &world.pop_weights, 1));
-                    self.leg_idx[i].offered_per_site_into(cfg.nl_qps, out);
-                    atk_out.clear();
-                    atk_out.resize(out.len(), 0.0);
-                }
+        // Per-site weight sums keyed on (catchment epoch, weight
+        // version) make each split O(n_sites); the fills share their
+        // arithmetic with `AnycastService::offered_per_site`, so the
+        // loads are bit-identical to the uncached split.
+        offered.resize_with(n, Vec::new);
+        offered_attack.resize_with(n, Vec::new);
+        self.atk_idx.resize_with(n, Default::default);
+        self.leg_idx.resize_with(n, Default::default);
+        let (mut hits, mut rebuilds) = (0u64, 0u64);
+        let mut note = |rebuilt: bool| {
+            if rebuilt {
+                rebuilds += 1;
+            } else {
+                hits += 1;
             }
-            world.metrics.inc(keys::CATCHMENT_INDEX_HITS, hits);
-            world.metrics.inc(keys::CATCHMENT_INDEX_REBUILDS, rebuilds);
+        };
+        for i in 0..n {
+            let svc = &world.services[i];
+            let atk_out = &mut offered_attack[i];
+            let out = &mut offered[i];
+            if let Some(letter) = svc.letter {
+                let atk_rate = cfg.attack.rate_for(letter, window_start);
+                note(svc.refresh_catchment_index(&mut self.atk_idx[i], world.botnet.weights(), 1));
+                self.atk_idx[i].offered_per_site_into(atk_rate, atk_out);
+                note(svc.refresh_catchment_index(
+                    &mut self.leg_idx[i],
+                    &world.legit_weights[i],
+                    world.legit_weights_version,
+                ));
+                self.leg_idx[i].offered_per_site_into(
+                    cfg.legit_total_qps * world.legit_shares[letter as usize],
+                    &mut self.leg,
+                );
+                out.clear();
+                out.extend(atk_out.iter().zip(&self.leg).map(|(a, b)| a + b));
+            } else {
+                note(svc.refresh_catchment_index(&mut self.leg_idx[i], &world.pop_weights, 1));
+                self.leg_idx[i].offered_per_site_into(cfg.nl_qps, out);
+                atk_out.clear();
+                atk_out.resize(out.len(), 0.0);
+            }
         }
+        world.metrics.inc(keys::CATCHMENT_INDEX_HITS, hits);
+        world.metrics.inc(keys::CATCHMENT_INDEX_REBUILDS, rebuilds);
         world.metrics.inc(keys::FLUID_WINDOWS, 1);
 
         // 2. Facility links first (shared risk), then site queues.
@@ -313,7 +265,10 @@ mod tests {
     use super::*;
     use crate::config::ScenarioConfig;
     use crate::engine::instrument::NoopInstrumentation;
+    use crate::engine::oracle::{AuditCounts, FluidAudit};
     use rootcast_netsim::SimRng;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn tick_publishes_scratch_and_fills_queues() {
@@ -345,25 +300,39 @@ mod tests {
 
     #[test]
     fn cached_and_reference_ticks_are_bit_identical() {
+        // Five audited windows with a K-root withdrawal between the
+        // second and the third, so the cached split must notice a
+        // catchment change.
         let mut cfg = ScenarioConfig::small();
         cfg.horizon = SimTime::from_mins(10);
         cfg.pipeline.horizon = cfg.horizon;
         let rngf = SimRng::new(cfg.seed);
-        let run = |reference: bool| {
-            let mut obs = NoopInstrumentation;
-            let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
-            let mut fluid = FluidTraffic::new(cfg.fluid_step).with_reference(reference);
-            let mut t = SimTime::ZERO;
-            for _ in 0..5 {
-                t += cfg.fluid_step;
-                fluid.tick(&mut world, t);
+        let mut obs = NoopInstrumentation;
+        let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
+        let k = world
+            .letters
+            .iter()
+            .position(|&l| l == rootcast_dns::Letter::K)
+            .expect("K present");
+        let counts = Rc::new(RefCell::new(AuditCounts::default()));
+        let mut fluid = FluidAudit::new(
+            Box::new(FluidTraffic::new(cfg.fluid_step)),
+            Rc::clone(&counts),
+        );
+        let mut t = SimTime::ZERO;
+        for tick in 0..5 {
+            if tick == 2 {
+                assert!(world.services[k].set_announced(0, false, &world.graph));
             }
-            (
-                world.fluid.offered.clone(),
-                world.fluid.offered_attack.clone(),
-            )
-        };
-        assert_eq!(run(false), run(true));
+            t += cfg.fluid_step;
+            fluid.tick(&mut world, t);
+        }
+        let counts = counts.borrow();
+        assert_eq!(counts.ticks, 5);
+        assert!(
+            counts.after_bump >= 1,
+            "no audited window followed the withdrawal"
+        );
     }
 
     #[test]

@@ -30,6 +30,8 @@ pub mod fluid;
 pub mod instrument;
 pub mod maintenance;
 pub mod metrics;
+#[cfg(test)]
+pub(crate) mod oracle;
 pub mod probes;
 pub mod profile;
 pub mod resolvers;

@@ -12,48 +12,21 @@ use crate::engine::faults::ProbeAction;
 use crate::engine::metrics::keys;
 use crate::engine::{SimWorld, Subsystem};
 use rayon::prelude::*;
-use rootcast_anycast::AnycastService;
-use rootcast_atlas::{
-    clean_outcome, execute_probe, execute_probe_fused, ChaosTarget, CleanObs, IndexedView,
-    LetterShard, TargetView, VpId,
-};
+use rootcast_atlas::{execute_probe_fused, IndexedView, LetterShard, VpId};
 use rootcast_dns::Letter;
 use rootcast_netsim::{SimDuration, SimTime};
-
-/// Adapter exposing an [`AnycastService`] as a probe target.
-pub(crate) struct ServiceTarget<'a> {
-    pub svc: &'a AnycastService,
-}
-
-impl ChaosTarget for ServiceTarget<'_> {
-    fn letter(&self) -> Letter {
-        self.svc.letter.expect("root service has a letter")
-    }
-
-    fn view(&self, asn: rootcast_topology::AsId, client_hash: u64) -> Option<TargetView> {
-        let pv = self.svc.probe_view(asn, client_hash)?;
-        Some(TargetView::new(
-            self.svc.site(pv.site).spec.code.clone(),
-            pv.server,
-            pv.rtt,
-            pv.drop_prob,
-        ))
-    }
-}
 
 /// The probing subsystem: per minute slot, the VPs due for each letter,
 /// cycling every lcm(intervals) minutes.
 ///
-/// Probes execute on the fused path by default: the service's catchment
-/// view is resolved straight to the pipeline's site *index* (via a
-/// per-letter map precomputed at construction) and recorded in place
-/// into the letter's [`LetterShard`](rootcast_atlas::LetterShard)
-/// inside the per-letter fan-out — no per-probe allocation, no strings,
-/// no serial merge. The
-/// [`reference_kernels`](crate::config::ScenarioConfig::reference_kernels)
-/// flag selects the legacy `execute_probe` → `clean_outcome` → `record`
-/// path instead; both draw the identical RNG sequence and produce
-/// bit-identical pipelines.
+/// A probe's catchment view is resolved straight to the pipeline's site
+/// *index* (via a per-letter map precomputed at construction) and
+/// recorded in place into the letter's
+/// [`LetterShard`](rootcast_atlas::LetterShard) inside the per-letter
+/// fan-out — no per-probe allocation, no strings, no serial merge. It
+/// draws the RNG sequence of the textual path (`execute_probe` →
+/// `clean_outcome` → `MeasurementPipeline::record`), which tests replay
+/// alongside every tick to pin the two to bit-identical pipelines.
 pub struct ProbeWheel {
     /// Per minute slot, per letter index: the VPs due, in VP order.
     wheel: Vec<Vec<Vec<u32>>>,
@@ -61,8 +34,6 @@ pub struct ProbeWheel {
     stream_keys: Vec<String>,
     /// Per letter index: service site index → pipeline site index.
     site_map: Vec<Vec<u16>>,
-    /// Use the string-roundtrip reference probe path.
-    reference: bool,
 }
 
 impl ProbeWheel {
@@ -130,7 +101,6 @@ impl ProbeWheel {
             wheel,
             stream_keys,
             site_map,
-            reference: cfg.reference_kernels,
         }
     }
 
@@ -178,85 +148,37 @@ impl Subsystem for ProbeWheel {
         // A dropped-out VP (Skip) never probes (no RNG draw); a
         // firmware-downgraded VP (Discard) probes with the same draws as
         // a healthy run but its measurement is unusable. Both count as
-        // missed.
-        if self.reference {
-            // Reference path: textual CHAOS identities, parsed back by
-            // the cleaning stage, recorded by airport code after a
-            // serial merge in letter order.
-            let results: Vec<Vec<(VpId, Option<CleanObs>)>> = (0..letters.len())
-                .into_par_iter()
-                .map(|i| {
-                    let letter = letters[i];
-                    let mut rng = rngf.indexed_stream(&stream_keys[i], minute);
-                    let target = ServiceTarget { svc: &services[i] };
-                    slot[i]
-                        .iter()
-                        .map(|&vp_id| match faults.probe_action(vp_id, letter) {
-                            ProbeAction::Skip => (VpId(vp_id), None),
-                            ProbeAction::Discard => {
-                                let vp = fleet.vp(VpId(vp_id));
-                                let _ = execute_probe(vp, &target, t, &mut rng);
-                                (vp.id, None)
-                            }
-                            ProbeAction::Normal => {
-                                let vp = fleet.vp(VpId(vp_id));
-                                let m = execute_probe(vp, &target, t, &mut rng);
-                                (vp.id, Some(clean_outcome(&m)))
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            for (i, letter_obs) in results.into_iter().enumerate() {
-                let letter = letters[i];
-                for (vp, obs) in letter_obs {
-                    let recorded = match obs {
-                        Some(obs) => world.pipeline.record(vp, letter, t, &obs),
-                        None => world.pipeline.note_missed(letter, t),
-                    };
-                    if let Err(err) = recorded {
-                        // The wheel only probes letters the world
-                        // registered, so this is a programmer error, not
-                        // data to skip.
-                        debug_assert!(false, "pipeline rejected wheel observation: {err}");
-                        let _ = err;
-                    }
+        // missed. Each letter probes and records into its own pipeline
+        // shard (registered in `world.letters` order) on its own RNG
+        // stream; nothing is buffered or merged.
+        let mut shards: Vec<(usize, LetterShard<'_>)> =
+            world.pipeline.shards().into_iter().enumerate().collect();
+        shards.par_iter_mut().for_each(|(i, shard)| {
+            let i = *i;
+            let letter = letters[i];
+            debug_assert_eq!(shard.letter(), letter);
+            let mut rng = rngf.indexed_stream(&stream_keys[i], minute);
+            let (svc, sites) = (&services[i], &site_map[i]);
+            for &vp_id in &slot[i] {
+                let action = faults.probe_action(vp_id, letter);
+                if action == ProbeAction::Skip {
+                    shard.note_missed(t);
+                    continue;
+                }
+                let vp = fleet.vp(VpId(vp_id));
+                let view = svc
+                    .probe_view(vp.asn, vp.client_hash())
+                    .map(|pv| IndexedView::new(sites[pv.site], pv.server, pv.rtt, pv.drop_prob));
+                let obs = execute_probe_fused(vp, view, &mut rng);
+                if action == ProbeAction::Discard {
+                    shard.note_missed(t);
+                } else if let Err(err) = shard.record(vp.id, t, obs) {
+                    debug_assert!(false, "pipeline rejected wheel observation: {err}");
+                    let _ = err;
                 }
             }
-            world.metrics.inc(keys::PROBES_REFERENCE, due as u64);
-        } else {
-            // Fused path: each letter probes and records into its own
-            // pipeline shard (registered in `world.letters` order) on
-            // its own RNG stream; nothing is buffered or merged.
-            let mut shards: Vec<(usize, LetterShard<'_>)> =
-                world.pipeline.shards().into_iter().enumerate().collect();
-            shards.par_iter_mut().for_each(|(i, shard)| {
-                let i = *i;
-                let letter = letters[i];
-                debug_assert_eq!(shard.letter(), letter);
-                let mut rng = rngf.indexed_stream(&stream_keys[i], minute);
-                let (svc, sites) = (&services[i], &site_map[i]);
-                for &vp_id in &slot[i] {
-                    let action = faults.probe_action(vp_id, letter);
-                    if action == ProbeAction::Skip {
-                        shard.note_missed(t);
-                        continue;
-                    }
-                    let vp = fleet.vp(VpId(vp_id));
-                    let view = svc.probe_view(vp.asn, vp.client_hash()).map(|pv| {
-                        IndexedView::new(sites[pv.site], pv.server, pv.rtt, pv.drop_prob)
-                    });
-                    let obs = execute_probe_fused(vp, view, &mut rng);
-                    if action == ProbeAction::Discard {
-                        shard.note_missed(t);
-                    } else if let Err(err) = shard.record(vp.id, t, obs) {
-                        debug_assert!(false, "pipeline rejected wheel observation: {err}");
-                        let _ = err;
-                    }
-                }
-            });
-            world.metrics.inc(keys::PROBES_FUSED, due as u64);
-        }
+        });
+        world.metrics.inc(keys::PROBES_FUSED, due as u64);
         vec![t + SimDuration::from_mins(1)]
     }
 }
@@ -278,7 +200,11 @@ mod tests {
     use super::*;
     use crate::config::ScenarioConfig;
     use crate::engine::instrument::NoopInstrumentation;
+    use crate::engine::oracle::{AuditCounts, ProbeAudit};
+    use crate::engine::{drive, FaultInjector, FaultKind, FaultPlan};
     use rootcast_netsim::SimRng;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn lcm_gcd_basics() {
@@ -320,36 +246,51 @@ mod tests {
 
     #[test]
     fn fused_and_reference_wheels_are_bit_identical() {
+        // Ten audited minutes with a probe dropout (skips), a firmware
+        // downgrade (discards) and a site crash (a catchment change)
+        // landing inside them.
         let mut cfg = ScenarioConfig::small();
         cfg.horizon = SimTime::from_mins(10);
         cfg.pipeline.horizon = cfg.horizon;
+        cfg.faults = FaultPlan::none()
+            .with(
+                SimTime::from_mins(2),
+                SimDuration::from_mins(4),
+                FaultKind::ProbeDropout {
+                    fraction: 0.5,
+                    letters: vec![Letter::B, Letter::K],
+                },
+            )
+            .with(
+                SimTime::from_mins(3),
+                SimDuration::from_mins(4),
+                FaultKind::FirmwareDowngrade { fraction: 0.3 },
+            )
+            .with(
+                SimTime::from_mins(4),
+                SimDuration::from_mins(4),
+                FaultKind::SiteCrash {
+                    letter: Letter::B,
+                    site: "LAX".into(),
+                },
+            );
         let rngf = SimRng::new(cfg.seed);
-
-        let run = |reference: bool| {
-            let mut cfg = cfg.clone();
-            cfg.reference_kernels = reference;
-            let mut obs = NoopInstrumentation;
-            let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
-            let mut wheel = ProbeWheel::new(&world);
-            for m in 1..=8u64 {
-                wheel.tick(&mut world, SimTime::from_mins(m));
-            }
-            world.pipeline.finalize();
-            (world.letters.clone(), world.pipeline)
-        };
-        let (letters, fused) = run(false);
-        let (_, reference) = run(true);
-        for &l in &letters {
-            let (a, b) = (fused.letter(l), reference.letter(l));
-            assert_eq!(a.success.values(), b.success.values(), "letter {l}");
-            assert_eq!(a.errors.values(), b.errors.values(), "letter {l}");
-            assert_eq!(a.raster, b.raster, "letter {l}");
-            assert_eq!(a.observed_probes, b.observed_probes, "letter {l}");
-            assert_eq!(a.missed_probes, b.missed_probes, "letter {l}");
-            for (sa, sb) in a.site_counts.iter().zip(&b.site_counts) {
-                assert_eq!(sa.values(), sb.values(), "letter {l}");
-            }
-        }
+        let mut obs = NoopInstrumentation;
+        let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
+        let counts = Rc::new(RefCell::new(AuditCounts::default()));
+        let wheel = Box::new(ProbeWheel::new(&world));
+        let mut subsystems: Vec<Box<dyn Subsystem>> = vec![
+            Box::new(ProbeAudit::new(wheel, &world, Rc::clone(&counts))),
+            Box::new(FaultInjector::new(
+                rngf.stream("faults"),
+                cfg.faults.clone(),
+            )),
+        ];
+        drive(&mut world, &mut subsystems, cfg.horizon);
+        let counts = counts.borrow();
+        assert!(counts.ticks >= 9, "audited {} ticks", counts.ticks);
+        assert!(counts.skipped > 0 && counts.discarded > 0, "{counts:?}");
+        assert!(counts.after_bump >= 1, "no audited tick followed the crash");
     }
 
     #[test]

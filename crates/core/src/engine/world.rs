@@ -7,12 +7,12 @@ use crate::deployment::{self, LetterDeployment};
 use crate::engine::faults::FaultState;
 use crate::engine::instrument::Instrumentation;
 use crate::engine::metrics::{engine_registry, keys};
-use crate::engine::probes::ServiceTarget;
 use crate::engine::trace::{EventTrace, TraceEventKind};
 use rand::Rng;
 use rootcast_anycast::{AnycastService, FacilityTable};
 use rootcast_atlas::{
-    clean_fleet, execute_probe, CleaningReport, MeasurementPipeline, RawMeasurement, VpFleet,
+    clean_fleet, execute_probe, ChaosTarget, CleaningReport, MeasurementPipeline, RawMeasurement,
+    TargetView, VpFleet,
 };
 use rootcast_attack::{population_weights, Botnet, ResolverPopulation};
 use rootcast_bgp::RouteCollector;
@@ -38,6 +38,30 @@ pub struct FluidScratch {
     pub dt: SimDuration,
     /// End of the last completed fluid window (= next window's start).
     pub last_fluid: SimTime,
+}
+
+/// Adapter exposing an [`AnycastService`] as a probe target on the
+/// textual CHAOS path: the calibration pass probes through it so the
+/// cleaning stage parses real identity strings, the way the paper's
+/// pipeline classifies hijacked VPs (§2.4.1).
+pub(crate) struct ServiceTarget<'a> {
+    pub svc: &'a AnycastService,
+}
+
+impl ChaosTarget for ServiceTarget<'_> {
+    fn letter(&self) -> Letter {
+        self.svc.letter.expect("root service has a letter")
+    }
+
+    fn view(&self, asn: rootcast_topology::AsId, client_hash: u64) -> Option<TargetView> {
+        let pv = self.svc.probe_view(asn, client_hash)?;
+        Some(TargetView::new(
+            self.svc.site(pv.site).spec.code.clone(),
+            pv.server,
+            pv.rtt,
+            pv.drop_prob,
+        ))
+    }
 }
 
 /// Everything the subsystems read and mutate while a scenario runs.
@@ -379,8 +403,8 @@ impl<'a> SimWorld<'a> {
     /// Every call follows exactly one RIB recompute on that service, so
     /// the service's changed-AS set describes precisely the delta since
     /// the collector's last observation and the collector can skip
-    /// unchanged peers. The reference path re-scans the full table; both
-    /// log identical update batches (debug builds audit the skips).
+    /// unchanged peers; debug builds audit every skip against the
+    /// full-table signature.
     pub fn observe_routes(&mut self, t: SimTime, svc_idx: usize) {
         let svc = &self.services[svc_idx];
         let popcount = svc.changed_ases().iter().filter(|&&c| c).count() as u64;
@@ -397,11 +421,7 @@ impl<'a> SimWorld<'a> {
             });
         if let Some(letter) = svc.letter {
             if let Some(c) = self.collectors.get_mut(&letter) {
-                if self.cfg.reference_kernels {
-                    c.observe(t, svc.rib());
-                } else {
-                    c.observe_changed(t, svc.rib(), svc.changed_ases());
-                }
+                c.observe_changed(t, svc.rib(), svc.changed_ases());
                 self.metrics.inc(keys::BGP_COLLECTOR_UPDATES, 1);
             }
         }

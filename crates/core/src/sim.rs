@@ -143,18 +143,16 @@ pub fn run_observed_with_substrate(
     drive_world(world)
 }
 
-/// Drive a built world to completion and package the output: the common
-/// back half of every entry point.
-fn drive_world(mut world: SimWorld<'_>) -> Result<SimOutput, RootcastError> {
-    let cfg = world.cfg;
-    let rng_factory = world.rng_factory;
-    // Seeding order is the same-instant tie-break: accounting must
-    // follow the fluid step whose window it settles, and faults apply
-    // after every production subsystem has ticked the instant.
-    let mut subsystems: Vec<Box<dyn Subsystem>> = vec![
-        Box::new(FluidTraffic::new(cfg.fluid_step).with_reference(cfg.reference_kernels)),
+/// The six subsystems of a run over `world`, in seeding order. Seeding
+/// order is the same-instant tie-break: accounting must follow the
+/// fluid step whose window it settles, and faults apply after every
+/// production subsystem has ticked the instant.
+pub(crate) fn subsystems(world: &SimWorld<'_>) -> Vec<Box<dyn Subsystem>> {
+    let (cfg, rng_factory) = (world.cfg, world.rng_factory);
+    vec![
+        Box::new(FluidTraffic::new(cfg.fluid_step)),
         Box::new(RssacAccounting::new(cfg)),
-        Box::new(ProbeWheel::new(&world)),
+        Box::new(ProbeWheel::new(world)),
         Box::new(ResolverRefresh::new(cfg.resolver_update)),
         Box::new(MaintenanceChurn::new(
             rng_factory.stream("maintenance"),
@@ -164,7 +162,14 @@ fn drive_world(mut world: SimWorld<'_>) -> Result<SimOutput, RootcastError> {
             rng_factory.stream("faults"),
             cfg.faults.clone(),
         )),
-    ];
+    ]
+}
+
+/// Drive a built world to completion and package the output: the common
+/// back half of every entry point.
+fn drive_world(mut world: SimWorld<'_>) -> Result<SimOutput, RootcastError> {
+    let cfg = world.cfg;
+    let mut subsystems = subsystems(&world);
     world.obs.on_phase_start("drive");
     drive(&mut world, &mut subsystems, cfg.horizon);
     world.obs.on_phase_end("drive");
@@ -346,6 +351,10 @@ pub fn attack_exposure(cfg: &ScenarioConfig) -> Vec<(Letter, Vec<(String, f64)>)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::oracle::{AuditCounts, FluidAudit, ProbeAudit};
+    use crate::engine::{FaultKind, FaultPlan, NoopInstrumentation};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// One shared small run for the driver's smoke tests (building it is
     /// the expensive part; assertions are cheap).
@@ -439,5 +448,62 @@ mod tests {
             );
         }
         assert_eq!(a.n_vps_kept, b.n_vps_kept);
+    }
+
+    #[test]
+    fn every_fluid_and_probe_tick_of_a_small_run_matches_its_oracle() {
+        // The whole 12 h `small()` run, event 1 and its catchment shifts
+        // included, with the fluid and probe subsystems audited tick by
+        // tick against the uncached split and the textual probe path.
+        // Two probe faults inside the event put skipped and discarded
+        // probes through the oracle as well.
+        let mut cfg = ScenarioConfig::small();
+        cfg.faults = FaultPlan::none()
+            .with(
+                SimTime::from_hours(7),
+                SimDuration::from_mins(60),
+                FaultKind::ProbeDropout {
+                    fraction: 0.3,
+                    letters: vec![Letter::B, Letter::K],
+                },
+            )
+            .with(
+                SimTime::from_mins(7 * 60 + 30),
+                SimDuration::from_mins(45),
+                FaultKind::FirmwareDowngrade { fraction: 0.2 },
+            );
+        cfg.validate().expect("valid scenario");
+        let rng_factory = SimRng::new(cfg.seed);
+        let mut obs = NoopInstrumentation;
+        let mut world = SimWorld::build(&cfg, &rng_factory, &mut obs).expect("world builds");
+        let fluid = Rc::new(RefCell::new(AuditCounts::default()));
+        let probes = Rc::new(RefCell::new(AuditCounts::default()));
+        let mut audited: Vec<Box<dyn Subsystem>> = subsystems(&world)
+            .into_iter()
+            .map(|s| -> Box<dyn Subsystem> {
+                match s.name() {
+                    "fluid" => Box::new(FluidAudit::new(s, Rc::clone(&fluid))),
+                    "probes" => Box::new(ProbeAudit::new(s, &world, Rc::clone(&probes))),
+                    _ => s,
+                }
+            })
+            .collect();
+        drive(&mut world, &mut audited, cfg.horizon);
+
+        let (fluid, probes) = (*fluid.borrow(), *probes.borrow());
+        let minutes = cfg.horizon.as_secs() / 60;
+        assert_eq!(fluid.ticks, minutes, "every fluid window audited");
+        assert_eq!(probes.ticks, minutes, "every probe tick audited");
+        assert!(fluid.attacked > 0, "event 1 never offered attack load");
+        assert!(
+            fluid.after_bump > 0,
+            "no audited window crossed a catchment change"
+        );
+        assert!(
+            probes.after_bump > 0,
+            "no audited probe tick crossed a catchment change"
+        );
+        assert!(probes.skipped > 0 && probes.discarded > 0, "{probes:?}");
+        assert!(world.metrics.counter(keys::POLICY_TRANSITIONS) > 0);
     }
 }

@@ -38,14 +38,13 @@
 
 use crate::analysis;
 use crate::config::{ScenarioConfig, SiteOverride};
-use crate::engine::{FaultPlan, Substrate};
+use crate::engine::{FaultPlan, Substrate, TraceConfig};
 use crate::error::{RootcastError, SweepError};
 use crate::render::{num, TextTable};
 use crate::sim::{run, run_with_substrate, SimOutput};
 use rayon::prelude::*;
 use rootcast_anycast::FacilityId;
 use rootcast_attack::AttackSchedule;
-use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
@@ -296,11 +295,17 @@ impl SweepPlan {
 }
 
 /// Hash identifying a resolved (label, config) pair — the checkpoint
-/// manifest key. Uses the config's `Debug` rendering: every knob
-/// (including attack windows, fault plans, and site overrides) feeds
-/// the digest, and f64 `Debug` is shortest-roundtrip so distinct
-/// values cannot collide through formatting.
+/// manifest key. Uses the config's `Debug` rendering: every simulation
+/// knob (including attack windows, fault plans, and site overrides)
+/// feeds the digest, and f64 `Debug` is shortest-roundtrip so distinct
+/// values cannot collide through formatting. The `trace` knob is reset
+/// to its default first: tracing only observes a run, so turning it on
+/// must not invalidate the runs a manifest already holds.
 pub fn config_hash(label: &str, cfg: &ScenarioConfig) -> u64 {
+    let cfg = ScenarioConfig {
+        trace: TraceConfig::default(),
+        ..cfg.clone()
+    };
     fnv1a_str(&format!("{label}\u{1f}{cfg:?}"))
 }
 
@@ -349,7 +354,7 @@ pub fn output_digest(out: &SimOutput) -> u64 {
 /// Per-run headline metrics: what the comparison table and the ranking
 /// read. Every field is finite by construction, even on maximally
 /// degraded runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Headline {
     pub n_ases: usize,
     pub n_vps_kept: usize,
@@ -421,7 +426,7 @@ fn headline(out: &SimOutput) -> Headline {
 
 /// Everything a finished (or resumed) run contributes to the report —
 /// and exactly what one checkpoint-manifest line holds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepRecord {
     pub label: String,
     /// The resolved master seed this run used.
@@ -551,7 +556,7 @@ pub struct SweepOptions {
 
 /// Sweep-level rollup: the engine counters summed over every record
 /// (executed or resumed) in the report.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRollup {
     pub counters: Vec<(String, u64)>,
 }
@@ -955,6 +960,28 @@ mod tests {
         ));
         assert_ne!(config_hash("x", &b), config_hash("x", &thin));
         assert_ne!(config_hash("x", &b), config_hash("y", &b));
+    }
+
+    #[test]
+    fn config_hash_ignores_the_trace_but_not_the_seed() {
+        // Tracing is a pure observer, so a manifest written by a dark
+        // sweep must still match when the sweep is resumed traced.
+        let b = base();
+        let mut traced = b.clone();
+        traced.trace.enabled = true;
+        traced.trace.capacity = 4096;
+        assert_eq!(config_hash("x", &b), config_hash("x", &traced));
+        let mut reseeded = b.clone();
+        reseeded.seed += 1;
+        assert_ne!(config_hash("x", &b), config_hash("x", &reseeded));
+    }
+
+    #[test]
+    fn absurdly_nested_manifest_line_is_rejected_not_a_stack_overflow() {
+        // A corrupt checkpoint line must be skipped like any other
+        // malformed record, however deep its brackets go.
+        assert!(SweepRecord::from_json(&"[".repeat(1_000_000)).is_none());
+        assert!(SweepRecord::from_json(&"{\"a\":".repeat(1_000_000)).is_none());
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! decode (responses from real root servers compress aggressively, and
 //! response *size* matters for Table 3's bandwidth estimates).
 
-use bytes::{BufMut, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum length of a single label.
@@ -48,7 +46,7 @@ impl std::error::Error for NameError {}
 ///
 /// DNS names are case-insensitive; we canonicalize to lowercase at
 /// construction so equality and hashing behave.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Name {
     labels: Vec<Vec<u8>>,
 }
@@ -106,12 +104,12 @@ impl Name {
     }
 
     /// Append in uncompressed wire format.
-    pub fn encode(&self, buf: &mut BytesMut) {
+    pub fn encode(&self, buf: &mut Vec<u8>) {
         for label in &self.labels {
-            buf.put_u8(label.len() as u8);
-            buf.put_slice(label);
+            buf.push(label.len() as u8);
+            buf.extend_from_slice(label);
         }
-        buf.put_u8(0);
+        buf.push(0);
     }
 
     /// Decode a name starting at `pos` within `msg` (the whole message is
@@ -242,7 +240,7 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let n = Name::parse("e.root-servers.net").unwrap();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         n.encode(&mut buf);
         assert_eq!(buf.len(), n.wire_len());
         let (decoded, next) = Name::decode(&buf, 0).unwrap();
@@ -253,13 +251,13 @@ mod tests {
     #[test]
     fn decode_follows_compression_pointer() {
         // Message: name "example.com" at 0, then "www" + pointer to 0.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         Name::parse("example.com").unwrap().encode(&mut buf);
         let ptr_at = buf.len();
-        buf.put_u8(3);
-        buf.put_slice(b"www");
-        buf.put_u8(0xC0);
-        buf.put_u8(0);
+        buf.push(3);
+        buf.extend_from_slice(b"www");
+        buf.push(0xC0);
+        buf.push(0);
         let (n, next) = Name::decode(&buf, ptr_at).unwrap();
         assert_eq!(n, Name::parse("www.example.com").unwrap());
         assert_eq!(next, buf.len());
@@ -291,13 +289,13 @@ mod tests {
         // Truncation sweep over a pointer-compressed encoding: no prefix
         // may panic, and decoding at any in-range start offset must also
         // return cleanly.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         Name::parse("example.com").unwrap().encode(&mut buf);
         let ptr_at = buf.len();
-        buf.put_u8(3);
-        buf.put_slice(b"www");
-        buf.put_u8(0xC0);
-        buf.put_u8(0);
+        buf.push(3);
+        buf.extend_from_slice(b"www");
+        buf.push(0xC0);
+        buf.push(0);
         for cut in 0..buf.len() {
             let _ = Name::decode(&buf[..cut], ptr_at.min(cut.saturating_sub(1)));
         }
@@ -311,13 +309,13 @@ mod tests {
     fn pointer_loop_is_rejected_not_infinite() {
         // a chain of strictly-backwards pointers longer than the jump
         // budget must error out, not hang.
-        let mut buf = BytesMut::new();
-        buf.put_u8(0); // offset 0: root, a valid terminator
+        let mut buf = Vec::new();
+        buf.push(0); // offset 0: root, a valid terminator
         for i in 0..40u16 {
             // each pointer at offset 1+2i targets the previous pointer
             let target = if i == 0 { 0 } else { 1 + 2 * (i - 1) };
-            buf.put_u8(0xC0 | (target >> 8) as u8);
-            buf.put_u8((target & 0xFF) as u8);
+            buf.push(0xC0 | (target >> 8) as u8);
+            buf.push((target & 0xFF) as u8);
         }
         let last = buf.len() - 2;
         assert_eq!(Name::decode(&buf, last), Err(NameError::BadPointer));

@@ -13,12 +13,10 @@
 //! size band the paper reports.
 
 use crate::name::{Name, NameError};
-use bytes::{BufMut, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// DNS RR/QTYPE values we model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RrType {
     A,
     Ns,
@@ -58,7 +56,7 @@ impl RrType {
 
 /// DNS classes. CHAOS matters: `hostname.bind TXT CH` is the query the
 /// paper (and RIPE Atlas) uses to identify which site and server answered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RrClass {
     In,
     Chaos,
@@ -84,7 +82,7 @@ impl RrClass {
 }
 
 /// Response codes (RFC 1035 §4.1.1 plus common extensions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rcode {
     NoError,
     FormErr,
@@ -136,7 +134,7 @@ impl fmt::Display for Rcode {
 }
 
 /// Record data for the types we model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Rdata {
     A([u8; 4]),
     Aaaa([u8; 16]),
@@ -168,31 +166,31 @@ struct Compressor {
 impl Compressor {
     /// Encode `name` at the current buffer position, emitting a pointer
     /// for the longest already-seen suffix and recording new suffixes.
-    fn encode_name(&mut self, buf: &mut BytesMut, name: &Name) {
+    fn encode_name(&mut self, buf: &mut Vec<u8>, name: &Name) {
         let labels: Vec<Vec<u8>> = name.labels().map(<[u8]>::to_vec).collect();
         for i in 0..labels.len() {
             let suffix = labels[i..].to_vec();
             if let Some(&off) = self.offsets.get(&suffix) {
-                buf.put_u8(0xC0 | (off >> 8) as u8);
-                buf.put_u8((off & 0xFF) as u8);
+                buf.push(0xC0 | (off >> 8) as u8);
+                buf.push((off & 0xFF) as u8);
                 return;
             }
             // Pointers can only address the first 16 KiB.
             if buf.len() <= 0x3FFF {
                 self.offsets.insert(suffix, buf.len() as u16);
             }
-            buf.put_u8(labels[i].len() as u8);
-            buf.put_slice(&labels[i]);
+            buf.push(labels[i].len() as u8);
+            buf.extend_from_slice(&labels[i]);
         }
-        buf.put_u8(0);
+        buf.push(0);
     }
 }
 
 impl Rdata {
-    fn encode(&self, buf: &mut BytesMut, comp: &mut Compressor) {
+    fn encode(&self, buf: &mut Vec<u8>, comp: &mut Compressor) {
         match self {
-            Rdata::A(addr) => buf.put_slice(addr),
-            Rdata::Aaaa(addr) => buf.put_slice(addr),
+            Rdata::A(addr) => buf.extend_from_slice(addr),
+            Rdata::Aaaa(addr) => buf.extend_from_slice(addr),
             Rdata::Ns(name) => comp.encode_name(buf, name),
             Rdata::Soa {
                 mname,
@@ -205,19 +203,19 @@ impl Rdata {
             } => {
                 comp.encode_name(buf, mname);
                 comp.encode_name(buf, rname);
-                buf.put_u32(*serial);
-                buf.put_u32(*refresh);
-                buf.put_u32(*retry);
-                buf.put_u32(*expire);
-                buf.put_u32(*minimum);
+                buf.extend_from_slice(&serial.to_be_bytes());
+                buf.extend_from_slice(&refresh.to_be_bytes());
+                buf.extend_from_slice(&retry.to_be_bytes());
+                buf.extend_from_slice(&expire.to_be_bytes());
+                buf.extend_from_slice(&minimum.to_be_bytes());
             }
             Rdata::Txt(strings) => {
                 for s in strings {
-                    buf.put_u8(s.len() as u8);
-                    buf.put_slice(s);
+                    buf.push(s.len() as u8);
+                    buf.extend_from_slice(s);
                 }
             }
-            Rdata::Raw(bytes) => buf.put_slice(bytes),
+            Rdata::Raw(bytes) => buf.extend_from_slice(bytes),
         }
     }
 
@@ -276,7 +274,7 @@ impl Rdata {
 }
 
 /// A question entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Question {
     pub qname: Name,
     pub qtype: RrType,
@@ -284,7 +282,7 @@ pub struct Question {
 }
 
 /// A resource record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     pub name: Name,
     pub rtype: RrType,
@@ -308,7 +306,7 @@ pub fn edns0_opt(udp_payload_size: u16) -> Record {
 }
 
 /// Message header flags we model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Flags {
     pub response: bool,
     pub authoritative: bool,
@@ -319,7 +317,7 @@ pub struct Flags {
 }
 
 /// A full DNS message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     pub id: u16,
     pub flags: Flags,
@@ -406,8 +404,8 @@ impl Message {
     /// keeps a 13-NS `.com` referral under ~500 bytes (Table 3's
     /// response-size band).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(512);
-        buf.put_u16(self.id);
+        let mut buf = Vec::with_capacity(512);
+        buf.extend_from_slice(&self.id.to_be_bytes());
         let f = &self.flags;
         let mut b1: u8 = 0;
         if f.response {
@@ -427,26 +425,26 @@ impl Message {
         if f.recursion_available {
             b2 |= 0x80;
         }
-        buf.put_u8(b1);
-        buf.put_u8(b2);
-        buf.put_u16(self.questions.len() as u16);
-        buf.put_u16(self.answers.len() as u16);
-        buf.put_u16(self.authorities.len() as u16);
-        buf.put_u16(self.additionals.len() as u16);
+        buf.push(b1);
+        buf.push(b2);
+        buf.extend_from_slice(&(self.questions.len() as u16).to_be_bytes());
+        buf.extend_from_slice(&(self.answers.len() as u16).to_be_bytes());
+        buf.extend_from_slice(&(self.authorities.len() as u16).to_be_bytes());
+        buf.extend_from_slice(&(self.additionals.len() as u16).to_be_bytes());
 
         let mut comp = Compressor::default();
         for q in &self.questions {
             comp.encode_name(&mut buf, &q.qname);
-            buf.put_u16(q.qtype.code());
-            buf.put_u16(q.qclass.code());
+            buf.extend_from_slice(&q.qtype.code().to_be_bytes());
+            buf.extend_from_slice(&q.qclass.code().to_be_bytes());
         }
-        let put_record = |buf: &mut BytesMut, comp: &mut Compressor, r: &Record| {
+        let put_record = |buf: &mut Vec<u8>, comp: &mut Compressor, r: &Record| {
             comp.encode_name(buf, &r.name);
-            buf.put_u16(r.rtype.code());
-            buf.put_u16(r.class.code());
-            buf.put_u32(r.ttl);
+            buf.extend_from_slice(&r.rtype.code().to_be_bytes());
+            buf.extend_from_slice(&r.class.code().to_be_bytes());
+            buf.extend_from_slice(&r.ttl.to_be_bytes());
             let rdlen_pos = buf.len();
-            buf.put_u16(0);
+            buf.extend_from_slice(&0u16.to_be_bytes());
             let before = buf.len();
             r.rdata.encode(buf, comp);
             let rdlen = (buf.len() - before) as u16;
@@ -461,7 +459,7 @@ impl Message {
         for r in &self.additionals {
             put_record(&mut buf, &mut comp, r);
         }
-        buf.to_vec()
+        buf
     }
 
     /// Wire size in bytes without encoding twice.
@@ -816,5 +814,24 @@ mod tests {
         let d = Message::decode(&m.encode()).unwrap();
         assert_eq!(d.flags, m.flags);
         assert_eq!(d.rcode(), Rcode::Refused);
+    }
+
+    #[test]
+    fn fields_are_big_endian_and_rdlength_is_back_patched() {
+        let mut r = Message::query(0x1234, Name::root(), RrType::A, RrClass::In)
+            .response_to(Rcode::NoError);
+        r.answers.push(Record {
+            name: Name::root(),
+            rtype: RrType::A,
+            class: RrClass::In,
+            ttl: 0xDEAD_BEEF,
+            rdata: Rdata::A([1, 2, 3, 4]),
+        });
+        let wire = r.encode();
+        assert_eq!(&wire[..2], &[0x12, 0x34]);
+        // The answer closes the packet: root owner, type, class, TTL, the
+        // rdlength written after its rdata, then the address.
+        let answer = [0, 0, 1, 0, 1, 0xDE, 0xAD, 0xBE, 0xEF, 0, 4, 1, 2, 3, 4];
+        assert_eq!(&wire[wire.len() - answer.len()..], &answer);
     }
 }

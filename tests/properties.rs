@@ -2,16 +2,20 @@
 //!
 //! These target the invariants the whole reproduction rests on: wire
 //! codec round-trips, BGP routing sanity on random topologies, fluid
-//! queue conservation, binning consistency, and the policy model's
-//! optimality bound.
+//! queue conservation, binning consistency, the policy model's
+//! optimality bound, and the JSON parser that guards sweep resume.
 
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
+use proptest::test_runner::TestRng;
 use rootcast::policy_model::{paper_deployment, Strategy};
+use rootcast::sweep::Headline;
+use rootcast::SweepRecord;
 use rootcast_bgp::{compute_rib_scoped, Origin, Scope};
 use rootcast_dns::{Letter, Message, Name, Rcode, Rdata, Record, RrClass, RrType, ServerIdentity};
 use rootcast_netsim::{BinnedSeries, FluidQueue, RateSignal, SimDuration, SimRng, SimTime};
 use rootcast_topology::{gen, Tier, TopologyParams};
+use serde_json::Value;
 
 // ---------------------------------------------------------------- names
 
@@ -31,7 +35,7 @@ proptest! {
     #[test]
     fn name_roundtrips_through_wire(n in name()) {
         let parsed = Name::parse(&n).expect("valid name");
-        let mut buf = bytes::BytesMut::new();
+        let mut buf = Vec::new();
         parsed.encode(&mut buf);
         let (decoded, next) = Name::decode(&buf, 0).expect("decodes");
         prop_assert_eq!(&decoded, &parsed);
@@ -240,5 +244,207 @@ proptest! {
         let h1 = paper_deployment(1.0, a, a).happiness();
         let h2 = paper_deployment(1.0, a + 1.0, a + 1.0).happiness();
         prop_assert!(h2 <= h1, "H rose from {h1} to {h2} as attack grew");
+    }
+}
+
+// ---------------------------------------------------------------- json
+
+/// A finite `f64`: integers of every magnitude, scaled fractions, edge
+/// values (-0, subnormals, the integer-printing cutoff) or raw bit
+/// patterns.
+fn finite_f64(rng: &mut TestRng) -> f64 {
+    const EDGES: [f64; 8] = [
+        0.0,
+        -0.0,
+        5e-324,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        9.0e15,
+        -9.0e15,
+    ];
+    match rng.below(4) {
+        0 => ((rng.next_u64() as i64) >> rng.below(64)) as f64,
+        1 => (rng.unit_f64() - 0.5) * 10f64.powi(rng.below(40) as i32 - 20),
+        2 => EDGES[rng.below(EDGES.len() as u64) as usize],
+        _ => loop {
+            let v = f64::from_bits(rng.next_u64());
+            if v.is_finite() {
+                break v;
+            }
+        },
+    }
+}
+
+/// A string mixing ASCII, JSON metacharacters, control characters and
+/// arbitrary Unicode scalars.
+fn json_string(rng: &mut TestRng) -> String {
+    (0..rng.below(12))
+        .map(|_| match rng.below(3) {
+            0 => (b' ' + rng.below(95) as u8) as char,
+            1 => [
+                '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}',
+            ][rng.below(9) as usize],
+            _ => loop {
+                if let Some(c) = char::from_u32(rng.below(0x11_0000) as u32) {
+                    break c;
+                }
+            },
+        })
+        .collect()
+}
+
+/// Strategy for `serde_json::Value` trees nested at most `depth` deep.
+struct JsonTree {
+    depth: u32,
+}
+
+impl proptest::strategy::Strategy for JsonTree {
+    type Value = Value;
+
+    fn generate(&self, rng: &mut TestRng) -> Value {
+        let inner = JsonTree {
+            depth: self.depth.saturating_sub(1),
+        };
+        match rng.below(if self.depth == 0 { 4 } else { 6 }) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.next_u64() & 1 == 1),
+            2 => Value::Number(finite_f64(rng)),
+            3 => Value::String(json_string(rng)),
+            4 => Value::Array((0..rng.below(5)).map(|_| inner.generate(rng)).collect()),
+            _ => Value::Object(
+                (0..rng.below(5))
+                    .map(|_| (json_string(rng), inner.generate(rng)))
+                    .collect(),
+            ),
+        }
+    }
+}
+
+/// Equality with numbers compared by bit pattern, so -0 ≠ 0.
+fn same_bits(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Number(x), Value::Number(y)) => x.to_bits() == y.to_bits(),
+        (Value::Array(xs), Value::Array(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_bits(x, y))
+        }
+        (Value::Object(xs), Value::Object(ys)) => {
+            xs.len() == ys.len()
+                && xs
+                    .iter()
+                    .zip(ys)
+                    .all(|((kx, x), (ky, y))| kx == ky && same_bits(x, y))
+        }
+        _ => a == b,
+    }
+}
+
+/// Strategy for checkpoint-manifest records with arbitrary field values.
+struct ManifestRecord;
+
+impl proptest::strategy::Strategy for ManifestRecord {
+    type Value = SweepRecord;
+
+    fn generate(&self, rng: &mut TestRng) -> SweepRecord {
+        let count = |rng: &mut TestRng| rng.below(1 << 40);
+        SweepRecord {
+            label: json_string(rng),
+            seed: rng.next_u64(),
+            substrate_key: rng.next_u64(),
+            config_hash: rng.next_u64(),
+            output_digest: rng.next_u64(),
+            wall_ms: finite_f64(rng),
+            headline: Headline {
+                n_ases: count(rng) as usize,
+                n_vps_kept: count(rng) as usize,
+                worst_letter_availability: finite_f64(rng),
+                mean_letter_availability: finite_f64(rng),
+                peak_offered_qps: finite_f64(rng),
+                worst_served_ratio: finite_f64(rng),
+                policy_transitions: count(rng),
+                route_events: count(rng),
+                faults_injected: count(rng),
+            },
+            counters: (0..rng.below(4))
+                .map(|_| (json_string(rng), count(rng)))
+                .collect(),
+            resumed: true,
+        }
+    }
+}
+
+/// Characters that steer the parser into every branch.
+const JSON_ALPHABET: &[char] = &[
+    '{',
+    '}',
+    '[',
+    ']',
+    '"',
+    ':',
+    ',',
+    '\\',
+    'u',
+    '0',
+    '1',
+    '9',
+    '-',
+    '+',
+    '.',
+    'e',
+    'E',
+    't',
+    'r',
+    'f',
+    'a',
+    'l',
+    's',
+    'n',
+    ' ',
+    '\n',
+    'é',
+    '\u{1F600}',
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn json_values_round_trip_exactly(v in JsonTree { depth: 4 }) {
+        let text = v.to_string();
+        let parsed = Value::parse(&text);
+        prop_assert!(
+            parsed.as_ref().is_some_and(|p| same_bits(p, &v)),
+            "{text:?} parsed back as {parsed:?}"
+        );
+    }
+
+    #[test]
+    fn manifest_parser_never_panics_on_arbitrary_text(
+        raw in proptest::collection::vec(any::<u8>(), 0..128),
+        picks in proptest::collection::vec(0usize..JSON_ALPHABET.len(), 0..128),
+    ) {
+        let _ = SweepRecord::from_json(&String::from_utf8_lossy(&raw));
+        let jsonish: String = picks.iter().map(|&i| JSON_ALPHABET[i]).collect();
+        let _ = SweepRecord::from_json(&jsonish);
+        let _ = Value::parse(&jsonish);
+    }
+
+    #[test]
+    fn manifest_lines_round_trip_and_cut_lines_are_skipped(
+        rec in ManifestRecord,
+        other in ManifestRecord,
+        cut in any::<usize>(),
+    ) {
+        let line = rec.to_json();
+        prop_assert_eq!(SweepRecord::from_json(&line), Some(rec));
+        // A write cut short by a kill, alone or with the next record
+        // appended to the same line.
+        let mut at = cut % line.len();
+        while !line.is_char_boundary(at) {
+            at -= 1;
+        }
+        let prefix = &line[..at];
+        prop_assert_eq!(SweepRecord::from_json(prefix), None);
+        let _ = SweepRecord::from_json(&format!("{prefix}{}", other.to_json()));
     }
 }
