@@ -9,7 +9,7 @@
 
 use crate::facility::FacilityTable;
 use crate::policy::StressPolicy;
-use crate::site::{SiteIdx, SiteSpec, SiteState};
+use crate::site::{SiteIdx, SiteSpec, SiteState, SiteTuning};
 use rootcast_bgp::{compute_rib_scoped_into, Origin, Rib, RibScratch};
 use rootcast_dns::Letter;
 use rootcast_netsim::{SimDuration, SimTime};
@@ -269,7 +269,7 @@ impl AnycastService {
 
     /// Scratch-buffer reuse stats of this service's RIB solver runs:
     /// `(reuses, allocs)` from the underlying
-    /// [`RibScratch`](rootcast_bgp::RibScratch). Flip-backs (see
+    /// [`RibScratch`]. Flip-backs (see
     /// [`Self::rib_reuses`]) run no solver and count in neither.
     pub fn scratch_stats(&self) -> (u64, u64) {
         self.rib_scratch.reuse_stats()
@@ -375,7 +375,7 @@ impl AnycastService {
     /// The tuning deliberately cannot touch routing-relevant fields
     /// (host AS, scope, prepend, server count, announcement): the RIB
     /// and the `t = 0` calibration probes stay valid by construction.
-    pub fn retune_site(&mut self, idx: SiteIdx, tuning: &crate::site::SiteTuning) {
+    pub fn retune_site(&mut self, idx: SiteIdx, tuning: &SiteTuning) {
         let site = &mut self.sites[idx];
         debug_assert!(
             site.offered_qps == 0.0 && site.announced && site.reannounce_at.is_none(),

@@ -5,8 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::SeedableRng;
 use rootcast::engine::{
-    FaultInjector, FaultKind, FaultPlan, FluidTraffic, NoopInstrumentation, ProbeWheel,
-    ResolverRefresh, SimWorld,
+    FaultInjector, FaultKind, FaultPlan, FluidTraffic, ProbeWheel, ResolverRefresh, SimWorld,
 };
 use rootcast::{ScenarioConfig, Subsystem};
 use rootcast_anycast::{AnycastService, CatchmentIndex};
@@ -222,8 +221,7 @@ fn bench_resolver_refresh(c: &mut Criterion) {
     // and the aggregate shares are rebuilt.
     let cfg = ScenarioConfig::small();
     let rngf = SimRng::new(cfg.seed);
-    let mut obs = NoopInstrumentation;
-    let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
+    let mut world = SimWorld::build(&cfg, &rngf).expect("world builds");
     let mut refresh = ResolverRefresh::new(cfg.resolver_update);
     let mut t = SimTime::ZERO;
     c.bench_function("resolver_refresh_tick", |b| {
@@ -240,8 +238,7 @@ fn bench_fluid_tick(c: &mut Criterion) {
     // letters plus .nl.
     let cfg = ScenarioConfig::small();
     let rngf = SimRng::new(cfg.seed);
-    let mut obs = NoopInstrumentation;
-    let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
+    let mut world = SimWorld::build(&cfg, &rngf).expect("world builds");
     let mut fluid = FluidTraffic::new(cfg.fluid_step);
     let mut t = SimTime::ZERO;
     c.bench_function("fluid_tick", |b| {
@@ -274,8 +271,7 @@ fn bench_probe_wheel_tick(c: &mut Criterion) {
             FaultKind::FirmwareDowngrade { fraction: 0.2 },
         );
     let rngf = SimRng::new(cfg.seed);
-    let mut obs = NoopInstrumentation;
-    let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
+    let mut world = SimWorld::build(&cfg, &rngf).expect("world builds");
     let mut faults = FaultInjector::new(rngf.stream("faults"), cfg.faults.clone());
     faults.tick(&mut world, SimTime::ZERO);
     let mut wheel = ProbeWheel::new(&world);

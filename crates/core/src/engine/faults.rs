@@ -6,10 +6,10 @@
 //! able to rehearse those failure modes on purpose. A [`FaultPlan`] on
 //! the scenario config schedules faults declaratively; the
 //! [`FaultInjector`] applies each one at its instant, reverts it when
-//! its window closes, and emits every injection and recovery through
-//! the [`Instrumentation`](crate::engine::Instrumentation) observer so
-//! [`RunStats`](crate::engine::RunStats) records exactly what was done
-//! to the run.
+//! its window closes, and appends every injection and recovery to the
+//! world's fault ledger ([`FaultState::ledger`]), exported as
+//! [`SimOutput::faults`](crate::sim::SimOutput::faults), so each run
+//! records exactly what was done to it.
 //!
 //! ## Determinism contract
 //!
@@ -158,8 +158,7 @@ impl fmt::Display for FaultAction {
     }
 }
 
-/// One applied fault transition, as reported through the observer and
-/// accumulated on [`RunStats`](crate::engine::RunStats).
+/// One applied fault transition: an entry of the run's fault ledger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InjectedFault {
     pub at: SimTime,
@@ -213,10 +212,14 @@ fn letter_bit(letter: Letter) -> u16 {
     1 << letter as u16
 }
 
-/// The live fault state other subsystems consult, owned by the world.
-/// Empty (the default) means every query below answers "healthy".
+/// The live fault state other subsystems consult, plus the ledger of
+/// every transition applied so far, owned by the world. Empty (the
+/// default) means every query below answers "healthy".
 #[derive(Debug, Default)]
 pub struct FaultState {
+    /// Every transition the injector applied, in order: the run's
+    /// injected-fault ledger.
+    pub ledger: Vec<InjectedFault>,
     /// Per-letter RSSAC capture multiplier; `0.0` = full gap. Letters
     /// absent from the map are monitored normally.
     rssac_factor: BTreeMap<Letter, f64>,
@@ -456,7 +459,7 @@ impl Subsystem for FaultInjector {
                     }
                 }
             });
-            world.obs.on_fault(t, &record);
+            world.faults.ledger.push(record);
         }
         Vec::new()
     }
@@ -466,15 +469,10 @@ impl Subsystem for FaultInjector {
 mod tests {
     use super::*;
     use crate::config::ScenarioConfig;
-    use crate::engine::instrument::{NoopInstrumentation, StatsCollector};
     use rootcast_netsim::SimRng;
 
-    fn world_fixture<'a>(
-        cfg: &'a ScenarioConfig,
-        rngf: &'a SimRng,
-        obs: &'a mut dyn crate::engine::Instrumentation,
-    ) -> SimWorld<'a> {
-        SimWorld::build(cfg, rngf, obs).expect("world builds")
+    fn world_fixture<'a>(cfg: &'a ScenarioConfig, rngf: &'a SimRng) -> SimWorld<'a> {
+        SimWorld::build(cfg, rngf).expect("world builds")
     }
 
     #[test]
@@ -498,8 +496,7 @@ mod tests {
             },
         );
         let rngf = SimRng::new(cfg.seed);
-        let mut obs = StatsCollector::default();
-        let mut world = world_fixture(&cfg, &rngf, &mut obs);
+        let mut world = world_fixture(&cfg, &rngf);
         let b = world.letters.iter().position(|&l| l == Letter::B).unwrap();
         let lax = world.services[b].site_by_code("LAX").unwrap();
         let mut inj = FaultInjector::new(rngf.stream("faults"), plan);
@@ -511,11 +508,11 @@ mod tests {
         inj.tick(&mut world, SimTime::from_mins(15));
         assert!(world.services[b].site(lax).announced);
 
-        let stats = obs.finish();
-        assert_eq!(stats.faults.len(), 2);
-        assert_eq!(stats.faults[0].action, FaultAction::Inject);
-        assert_eq!(stats.faults[1].action, FaultAction::Recover);
-        assert!(stats.faults[0].description.contains("site-crash B/LAX"));
+        let ledger = &world.faults.ledger;
+        assert_eq!(ledger.len(), 2);
+        assert_eq!(ledger[0].action, FaultAction::Inject);
+        assert_eq!(ledger[1].action, FaultAction::Recover);
+        assert!(ledger[0].description.contains("site-crash B/LAX"));
     }
 
     #[test]
@@ -532,12 +529,11 @@ mod tests {
             },
         );
         let rngf = SimRng::new(cfg.seed);
-        let mut obs = StatsCollector::default();
-        let mut world = world_fixture(&cfg, &rngf, &mut obs);
+        let mut world = world_fixture(&cfg, &rngf);
         let mut inj = FaultInjector::new(rngf.stream("faults"), plan);
         inj.tick(&mut world, SimTime::from_mins(1));
-        let stats = obs.finish();
-        assert!(stats.faults[0].description.contains("unknown site"));
+        assert_eq!(world.faults.ledger.len(), 1);
+        assert!(world.faults.ledger[0].description.contains("unknown site"));
     }
 
     #[test]
@@ -556,8 +552,7 @@ mod tests {
         let rngf = SimRng::new(cfg.seed);
 
         let run_wave = || {
-            let mut obs = NoopInstrumentation;
-            let mut world = world_fixture(&cfg, &rngf, &mut obs);
+            let mut world = world_fixture(&cfg, &rngf);
             let mut inj = FaultInjector::new(rngf.stream("faults"), plan.clone());
             inj.tick(&mut world, SimTime::from_mins(2));
             let dark: Vec<u32> = world
@@ -574,6 +569,11 @@ mod tests {
                 );
             }
             assert!(!dark.is_empty());
+            let ledger = &world.faults.ledger;
+            assert_eq!(ledger.len(), 1);
+            assert!(ledger[0]
+                .description
+                .ends_with(&format!("({} VPs)", dark.len())));
             (dark, world.faults.any_active())
         };
         let (a, active) = run_wave();
@@ -602,8 +602,7 @@ mod tests {
                 FaultKind::FirmwareDowngrade { fraction: 0.5 },
             );
         let rngf = SimRng::new(cfg.seed);
-        let mut obs = StatsCollector::default();
-        let mut world = world_fixture(&cfg, &rngf, &mut obs);
+        let mut world = world_fixture(&cfg, &rngf);
         let mut inj = FaultInjector::new(rngf.stream("faults"), plan);
         let n = world.fleet.len() as u32;
         inj.tick(&mut world, SimTime::from_mins(2));
@@ -664,12 +663,12 @@ mod tests {
         }
         assert!(!world.faults.any_active());
 
-        let stats = obs.finish();
+        let ledger = &world.faults.ledger;
         let drawn = |m: &[bool]| m.iter().filter(|&&b| b).count();
-        assert!(stats.faults[0]
+        assert!(ledger[0]
             .description
             .ends_with(&format!("({} VPs)", drawn(&dark))));
-        assert!(stats.faults[1]
+        assert!(ledger[1]
             .description
             .ends_with(&format!("({} VPs)", drawn(&old))));
     }
@@ -694,8 +693,7 @@ mod tests {
                 },
             );
         let rngf = SimRng::new(cfg.seed);
-        let mut obs = NoopInstrumentation;
-        let mut world = world_fixture(&cfg, &rngf, &mut obs);
+        let mut world = world_fixture(&cfg, &rngf);
         let mut inj = FaultInjector::new(rngf.stream("faults"), plan);
         inj.tick(&mut world, SimTime::from_mins(1));
         assert_eq!(world.faults.rssac_factor(Letter::H), Some(0.0));

@@ -199,9 +199,11 @@ impl Subsystem for FluidTraffic {
             .sum();
         world.metrics.set_gauge(keys::SITES_SATURATED, live as f64);
 
-        // Per-letter load and queue-depth instrumentation.
+        // Per-letter load and queue-depth metrics.
         for (i, svc) in world.services.iter().enumerate() {
-            let Some(letter) = svc.letter else { continue };
+            if svc.letter.is_none() {
+                continue;
+            }
             let offered_total: f64 = offered[i].iter().sum();
             let served_total: f64 = svc.served_total();
             world
@@ -212,16 +214,12 @@ impl Subsystem for FluidTraffic {
                 world.metrics.min_gauge(keys::WORST_SERVED_RATIO, ratio);
                 world.metrics.observe(keys::SERVED_RATIO, ratio);
             }
-            world
-                .obs
-                .on_letter_load(t, letter, offered_total, served_total);
             for site in svc.sites() {
                 let delay = site.queue_delay();
                 if !delay.is_zero() {
                     world
                         .metrics
                         .observe(keys::QUEUE_DELAY_MS, delay.as_secs_f64() * 1e3);
-                    world.obs.on_queue_depth(t, letter, &site.spec.code, delay);
                 }
             }
         }
@@ -243,7 +241,6 @@ impl Subsystem for FluidTraffic {
                             letter: (b'A' + letter as u8) as char,
                             changes: changes.len(),
                         });
-                    world.obs.on_policy_transition(t, letter, &changes);
                 }
                 world.observe_routes(t, i);
             }
@@ -264,7 +261,6 @@ impl Subsystem for FluidTraffic {
 mod tests {
     use super::*;
     use crate::config::ScenarioConfig;
-    use crate::engine::instrument::NoopInstrumentation;
     use crate::engine::oracle::{AuditCounts, FluidAudit};
     use rootcast_netsim::SimRng;
     use std::cell::RefCell;
@@ -276,8 +272,7 @@ mod tests {
         cfg.horizon = SimTime::from_mins(10);
         cfg.pipeline.horizon = cfg.horizon;
         let rngf = SimRng::new(cfg.seed);
-        let mut obs = NoopInstrumentation;
-        let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
+        let mut world = SimWorld::build(&cfg, &rngf).expect("world builds");
         let mut fluid = FluidTraffic::new(cfg.fluid_step);
 
         let t = SimTime::ZERO + cfg.fluid_step;
@@ -307,8 +302,7 @@ mod tests {
         cfg.horizon = SimTime::from_mins(10);
         cfg.pipeline.horizon = cfg.horizon;
         let rngf = SimRng::new(cfg.seed);
-        let mut obs = NoopInstrumentation;
-        let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
+        let mut world = SimWorld::build(&cfg, &rngf).expect("world builds");
         let k = world
             .letters
             .iter()
@@ -348,8 +342,7 @@ mod tests {
                 .build()
                 .expect("pool");
             pool.install(|| {
-                let mut obs = NoopInstrumentation;
-                let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
+                let mut world = SimWorld::build(&cfg, &rngf).expect("world builds");
                 let mut fluid = FluidTraffic::new(cfg.fluid_step);
                 fluid.tick(&mut world, SimTime::ZERO + cfg.fluid_step);
                 world.fluid.offered.clone()

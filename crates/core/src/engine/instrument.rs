@@ -1,23 +1,20 @@
-//! Run instrumentation: an observer trait the engine and subsystems
-//! call into, plus the default collector behind [`RunStats`].
+//! Run instrumentation: the host-time observer the engine calls into.
 //!
 //! Hooks are no-ops by default, so a custom observer implements only
-//! what it cares about. Instrumentation lives *outside* simulation
-//! state — observers see the run but cannot influence it, so a run's
-//! outputs are identical whether or not anything is listening.
+//! what it cares about. The observer is passed to the engine alongside
+//! the world, never stored in it, so it sees the run's host-side timing
+//! but cannot influence simulation state: a run's outputs are identical
+//! whether or not anything is listening. Simulated facts (loads, policy
+//! transitions, faults) are read from the run's metrics, trace and fault
+//! ledger on [`SimOutput`](crate::sim::SimOutput), not from here.
 
-use crate::engine::faults::InjectedFault;
-use rootcast_anycast::RoutingChanges;
-use rootcast_dns::Letter;
-use rootcast_netsim::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use rootcast_netsim::SimTime;
 use std::time::Duration;
 
-/// Observer hooks for a simulation run.
+/// Host-time observer hooks for a simulation run.
 ///
 /// All methods have empty default bodies. Wall-clock durations are
-/// host-side measurements (they vary run to run); everything else is
-/// deterministic simulation state.
+/// host-side measurements and vary run to run.
 pub trait Instrumentation {
     /// A driver phase (`build_world`, `drive`, `finalize`) began.
     /// Phases nest like a stack; every start is matched by an
@@ -30,29 +27,6 @@ pub trait Instrumentation {
     /// A subsystem finished its tick at simulated time `t`, having
     /// consumed `wall` of host time.
     fn on_subsystem_tick(&mut self, _subsystem: &'static str, _t: SimTime, _wall: Duration) {}
-
-    /// Per-letter load for the fluid window ending at `t`: total
-    /// offered q/s across the letter's sites and the fraction served
-    /// after facility and ingress losses.
-    fn on_letter_load(
-        &mut self,
-        _t: SimTime,
-        _letter: Letter,
-        _offered_qps: f64,
-        _served_qps: f64,
-    ) {
-    }
-
-    /// Ingress queue depth (as queueing delay) of one site after the
-    /// fluid window ending at `t`. Only called for non-empty queues.
-    fn on_queue_depth(&mut self, _t: SimTime, _letter: Letter, _site: &str, _delay: SimDuration) {}
-
-    /// A stress policy changed routing (withdrawal / re-announcement).
-    fn on_policy_transition(&mut self, _t: SimTime, _letter: Letter, _changes: &RoutingChanges) {}
-
-    /// The fault injector applied a transition (injection or recovery)
-    /// from the scenario's [`FaultPlan`](crate::engine::FaultPlan).
-    fn on_fault(&mut self, _t: SimTime, _fault: &InjectedFault) {}
 }
 
 /// The do-nothing observer.
@@ -61,183 +35,15 @@ pub struct NoopInstrumentation;
 
 impl Instrumentation for NoopInstrumentation {}
 
-/// Wall-time and counter summary of one subsystem over a run.
-#[derive(Debug, Default, Clone)]
-pub struct SubsystemStats {
-    pub ticks: u64,
-    pub wall: Duration,
-}
-
-/// Aggregated run statistics, exposed on
-/// [`SimOutput`](crate::sim::SimOutput) by [`run`](crate::sim::run).
-#[derive(Debug, Default, Clone)]
-pub struct RunStats {
-    /// Host wall time per driver phase (`build_world`, `drive`,
-    /// `finalize`), accumulated over matched start/end pairs.
-    pub phases: BTreeMap<&'static str, Duration>,
-    /// Per-subsystem tick counts and host wall time.
-    pub subsystems: BTreeMap<&'static str, SubsystemStats>,
-    /// Peak offered load seen by any single letter, q/s.
-    pub peak_offered_qps: f64,
-    /// Lowest served/offered ratio seen by any letter in any window.
-    pub worst_served_ratio: f64,
-    /// Deepest ingress queue seen, as (letter, site code, delay).
-    pub deepest_queue: Option<(Letter, String, SimDuration)>,
-    /// Total routing transitions driven by stress policies.
-    pub policy_transitions: u64,
-    /// Every fault transition the injector applied, in order — the
-    /// run's injected-fault ledger.
-    pub faults: Vec<InjectedFault>,
-}
-
-impl RunStats {
-    /// Total host wall time across all subsystem ticks.
-    pub fn total_wall(&self) -> Duration {
-        self.subsystems.values().map(|s| s.wall).sum()
-    }
-
-    /// Total ticks across all subsystems.
-    pub fn total_ticks(&self) -> u64 {
-        self.subsystems.values().map(|s| s.ticks).sum()
-    }
-}
-
-/// The default observer: accumulates [`RunStats`].
-#[derive(Debug, Clone)]
-pub struct StatsCollector {
-    stats: RunStats,
-    /// Open driver phases: (name, start instant).
-    open_phases: Vec<(&'static str, std::time::Instant)>,
-}
-
-impl Default for StatsCollector {
-    fn default() -> Self {
-        StatsCollector {
-            stats: RunStats {
-                worst_served_ratio: 1.0,
-                ..RunStats::default()
-            },
-            open_phases: Vec::new(),
-        }
-    }
-}
-
-impl StatsCollector {
-    pub fn finish(self) -> RunStats {
-        self.stats
-    }
-}
-
-impl Instrumentation for StatsCollector {
-    fn on_phase_start(&mut self, phase: &'static str) {
-        self.open_phases.push((phase, std::time::Instant::now()));
-    }
-
-    fn on_phase_end(&mut self, phase: &'static str) {
-        if let Some((name, started)) = self.open_phases.pop() {
-            debug_assert_eq!(name, phase, "phase markers must nest");
-            *self.stats.phases.entry(name).or_default() += started.elapsed();
-        }
-    }
-
-    fn on_subsystem_tick(&mut self, subsystem: &'static str, _t: SimTime, wall: Duration) {
-        let s = self.stats.subsystems.entry(subsystem).or_default();
-        s.ticks += 1;
-        s.wall += wall;
-    }
-
-    fn on_letter_load(&mut self, _t: SimTime, _letter: Letter, offered_qps: f64, served_qps: f64) {
-        if offered_qps > self.stats.peak_offered_qps {
-            self.stats.peak_offered_qps = offered_qps;
-        }
-        if offered_qps > 0.0 {
-            let ratio = served_qps / offered_qps;
-            if ratio < self.stats.worst_served_ratio {
-                self.stats.worst_served_ratio = ratio;
-            }
-        }
-    }
-
-    fn on_queue_depth(&mut self, _t: SimTime, letter: Letter, site: &str, delay: SimDuration) {
-        let deeper = match &self.stats.deepest_queue {
-            Some((_, _, best)) => delay > *best,
-            None => true,
-        };
-        if deeper {
-            self.stats.deepest_queue = Some((letter, site.to_string(), delay));
-        }
-    }
-
-    fn on_policy_transition(&mut self, _t: SimTime, _letter: Letter, changes: &RoutingChanges) {
-        self.stats.policy_transitions += changes.len() as u64;
-    }
-
-    fn on_fault(&mut self, _t: SimTime, fault: &InjectedFault) {
-        self.stats.faults.push(fault.clone());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn collector_accumulates_ticks_and_extremes() {
-        let mut c = StatsCollector::default();
-        c.on_subsystem_tick("fluid", SimTime::from_mins(1), Duration::from_micros(5));
-        c.on_subsystem_tick("fluid", SimTime::from_mins(2), Duration::from_micros(7));
-        c.on_subsystem_tick("probes", SimTime::from_mins(1), Duration::from_micros(3));
-        c.on_letter_load(SimTime::from_mins(1), Letter::K, 1000.0, 900.0);
-        c.on_letter_load(SimTime::from_mins(2), Letter::K, 5000.0, 1000.0);
-        c.on_queue_depth(
-            SimTime::from_mins(2),
-            Letter::K,
-            "AMS",
-            SimDuration::from_millis(1500),
-        );
-        c.on_queue_depth(
-            SimTime::from_mins(3),
-            Letter::K,
-            "NRT",
-            SimDuration::from_millis(200),
-        );
-        let stats = c.finish();
-        assert_eq!(stats.subsystems["fluid"].ticks, 2);
-        assert_eq!(stats.subsystems["probes"].ticks, 1);
-        assert_eq!(stats.total_ticks(), 3);
-        assert_eq!(stats.subsystems["fluid"].wall, Duration::from_micros(12));
-        assert_eq!(stats.peak_offered_qps, 5000.0);
-        assert!((stats.worst_served_ratio - 0.2).abs() < 1e-12);
-        let (l, site, d) = stats.deepest_queue.unwrap();
-        assert_eq!((l, site.as_str()), (Letter::K, "AMS"));
-        assert_eq!(d, SimDuration::from_millis(1500));
-    }
-
-    #[test]
-    fn collector_accumulates_phase_wall_time() {
-        let mut c = StatsCollector::default();
-        c.on_phase_start("drive");
-        c.on_phase_end("drive");
-        c.on_phase_start("drive");
-        c.on_phase_end("drive");
-        let stats = c.finish();
-        assert_eq!(stats.phases.len(), 1);
-        assert!(stats.phases.contains_key("drive"));
-    }
-
-    #[test]
     fn noop_observer_compiles_all_hooks() {
         let mut n = NoopInstrumentation;
+        n.on_phase_start("drive");
         n.on_subsystem_tick("x", SimTime::ZERO, Duration::ZERO);
-        n.on_letter_load(SimTime::ZERO, Letter::A, 1.0, 1.0);
-        n.on_queue_depth(SimTime::ZERO, Letter::A, "AMS", SimDuration::ZERO);
-        n.on_fault(
-            SimTime::ZERO,
-            &InjectedFault {
-                at: SimTime::ZERO,
-                action: crate::engine::faults::FaultAction::Inject,
-                description: "rssac-gap H".into(),
-            },
-        );
+        n.on_phase_end("drive");
     }
 }

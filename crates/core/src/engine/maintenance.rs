@@ -120,7 +120,6 @@ impl Subsystem for MaintenanceChurn {
 mod tests {
     use super::*;
     use crate::config::ScenarioConfig;
-    use crate::engine::instrument::NoopInstrumentation;
     use rootcast_netsim::SimRng;
 
     /// Run churn ticks until one withdrawal lands, returning the
@@ -129,8 +128,7 @@ mod tests {
         cfg: &ScenarioConfig,
         rngf: &SimRng,
     ) -> (Vec<(SimTime, usize, SiteIdx)>, Vec<SimTime>) {
-        let mut obs = NoopInstrumentation;
-        let mut world = SimWorld::build(cfg, rngf, &mut obs).expect("world builds");
+        let mut world = SimWorld::build(cfg, rngf).expect("world builds");
         let mut churn = MaintenanceChurn::new(rngf.stream("maintenance"), cfg.maintenance_mean);
         let mut schedule = Vec::new();
         let mut t = churn.initial_wakeups()[0];
@@ -151,8 +149,7 @@ mod tests {
         cfg.horizon = SimTime::from_hours(12);
         cfg.pipeline.horizon = cfg.horizon;
         let rngf = SimRng::new(cfg.seed);
-        let mut obs = NoopInstrumentation;
-        let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
+        let mut world = SimWorld::build(&cfg, &rngf).expect("world builds");
         let mut churn = MaintenanceChurn::new(rngf.stream("maintenance"), cfg.maintenance_mean);
 
         // Tick the churn schedule until a withdrawal happens.

@@ -44,7 +44,7 @@ pub use faults::{
     ProbeAction,
 };
 pub use fluid::FluidTraffic;
-pub use instrument::{Instrumentation, NoopInstrumentation, RunStats, StatsCollector};
+pub use instrument::{Instrumentation, NoopInstrumentation};
 pub use maintenance::MaintenanceChurn;
 pub use metrics::{engine_registry, render_metrics};
 pub use probes::ProbeWheel;
@@ -82,14 +82,20 @@ pub trait Subsystem {
     }
 }
 
-/// Drive `subsystems` against `world` until `horizon`.
+/// Drive `subsystems` against `world` until `horizon`, reporting each
+/// tick's host time to `obs`.
 ///
 /// Subsystems scheduled for the same instant tick in FIFO order of
 /// scheduling, which makes the seeding order in `subsystems` the
 /// tie-break for the first round and self-rescheduling stable after
 /// that: a subsystem listed before another, waking at the same times,
 /// always ticks first.
-pub fn drive(world: &mut SimWorld, subsystems: &mut [Box<dyn Subsystem>], horizon: SimTime) {
+pub fn drive(
+    world: &mut SimWorld,
+    subsystems: &mut [Box<dyn Subsystem>],
+    horizon: SimTime,
+    obs: &mut dyn Instrumentation,
+) {
     let mut queue: EventQueue<usize> = EventQueue::new();
     for (idx, sub) in subsystems.iter_mut().enumerate() {
         for w in sub.initial_wakeups() {
@@ -102,9 +108,7 @@ pub fn drive(world: &mut SimWorld, subsystems: &mut [Box<dyn Subsystem>], horizo
         let sub = &mut subsystems[idx];
         let started = Instant::now();
         let wakeups = sub.tick(world, t);
-        world
-            .obs
-            .on_subsystem_tick(sub.name(), t, started.elapsed());
+        obs.on_subsystem_tick(sub.name(), t, started.elapsed());
         for w in wakeups {
             assert!(w > t, "{} scheduled a non-advancing wakeup", sub.name());
             if w <= horizon {
@@ -151,8 +155,7 @@ mod tests {
         cfg.horizon = SimTime::from_mins(3);
         cfg.pipeline.horizon = cfg.horizon;
         let rngf = SimRng::new(1);
-        let mut obs = NoopInstrumentation;
-        let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
+        let mut world = SimWorld::build(&cfg, &rngf).expect("world builds");
 
         let trace = Rc::new(RefCell::new(Vec::new()));
         let mut subsystems: Vec<Box<dyn Subsystem>> = vec![
@@ -167,7 +170,12 @@ mod tests {
                 trace: trace.clone(),
             }),
         ];
-        drive(&mut world, &mut subsystems, cfg.horizon);
+        drive(
+            &mut world,
+            &mut subsystems,
+            cfg.horizon,
+            &mut NoopInstrumentation,
+        );
         let trace = trace.borrow();
         // Three whole minutes inside the horizon; at each instant
         // "first" (seeded first) ticks before "second".

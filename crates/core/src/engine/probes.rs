@@ -22,7 +22,7 @@ use rootcast_netsim::{SimDuration, SimTime};
 /// A probe's catchment view is resolved straight to the pipeline's site
 /// *index* (via a per-letter map precomputed at construction) and
 /// recorded in place into the letter's
-/// [`LetterShard`](rootcast_atlas::LetterShard) inside the per-letter
+/// [`LetterShard`] inside the per-letter
 /// fan-out — no per-probe allocation, no strings, no serial merge. It
 /// draws the RNG sequence of the textual path (`execute_probe` →
 /// `clean_outcome` → `MeasurementPipeline::record`), which tests replay
@@ -199,9 +199,8 @@ fn lcm(a: u64, b: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::config::ScenarioConfig;
-    use crate::engine::instrument::NoopInstrumentation;
     use crate::engine::oracle::{AuditCounts, ProbeAudit};
-    use crate::engine::{drive, FaultInjector, FaultKind, FaultPlan};
+    use crate::engine::{drive, FaultInjector, FaultKind, FaultPlan, NoopInstrumentation};
     use rootcast_netsim::SimRng;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -219,8 +218,7 @@ mod tests {
         cfg.horizon = SimTime::from_mins(10);
         cfg.pipeline.horizon = cfg.horizon;
         let rngf = SimRng::new(cfg.seed);
-        let mut obs = NoopInstrumentation;
-        let world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
+        let world = SimWorld::build(&cfg, &rngf).expect("world builds");
         let wheel = ProbeWheel::new(&world);
         // lcm(4, 30) minutes.
         assert_eq!(wheel.period(), 60);
@@ -275,8 +273,7 @@ mod tests {
                 },
             );
         let rngf = SimRng::new(cfg.seed);
-        let mut obs = NoopInstrumentation;
-        let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
+        let mut world = SimWorld::build(&cfg, &rngf).expect("world builds");
         let counts = Rc::new(RefCell::new(AuditCounts::default()));
         let wheel = Box::new(ProbeWheel::new(&world));
         let mut subsystems: Vec<Box<dyn Subsystem>> = vec![
@@ -286,7 +283,12 @@ mod tests {
                 cfg.faults.clone(),
             )),
         ];
-        drive(&mut world, &mut subsystems, cfg.horizon);
+        drive(
+            &mut world,
+            &mut subsystems,
+            cfg.horizon,
+            &mut NoopInstrumentation,
+        );
         let counts = counts.borrow();
         assert!(counts.ticks >= 9, "audited {} ticks", counts.ticks);
         assert!(counts.skipped > 0 && counts.discarded > 0, "{counts:?}");
@@ -306,8 +308,7 @@ mod tests {
                 .build()
                 .expect("pool");
             pool.install(|| {
-                let mut obs = NoopInstrumentation;
-                let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
+                let mut world = SimWorld::build(&cfg, &rngf).expect("world builds");
                 let mut wheel = ProbeWheel::new(&world);
                 for m in 1..=8u64 {
                     wheel.tick(&mut world, SimTime::from_mins(m));

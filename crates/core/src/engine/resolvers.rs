@@ -70,7 +70,6 @@ impl Subsystem for ResolverRefresh {
 mod tests {
     use super::*;
     use crate::config::ScenarioConfig;
-    use crate::engine::instrument::NoopInstrumentation;
     use rootcast_netsim::SimRng;
 
     #[test]
@@ -79,8 +78,7 @@ mod tests {
         cfg.horizon = SimTime::from_mins(30);
         cfg.pipeline.horizon = cfg.horizon;
         let rngf = SimRng::new(cfg.seed);
-        let mut obs = NoopInstrumentation;
-        let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
+        let mut world = SimWorld::build(&cfg, &rngf).expect("world builds");
         let mut sub = ResolverRefresh::new(cfg.resolver_update);
 
         let uniform_shares = world.legit_shares;

@@ -264,7 +264,6 @@ impl Subsystem for RssacAccounting {
 mod tests {
     use super::*;
     use crate::config::ScenarioConfig;
-    use crate::engine::instrument::NoopInstrumentation;
     use crate::engine::FluidTraffic;
     use rootcast_netsim::SimRng;
 
@@ -298,8 +297,7 @@ mod tests {
         cfg.horizon = SimTime::from_mins(30);
         cfg.pipeline.horizon = cfg.horizon;
         let rngf = SimRng::new(cfg.seed);
-        let mut obs = NoopInstrumentation;
-        let mut world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
+        let mut world = SimWorld::build(&cfg, &rngf).expect("world builds");
         let mut fluid = FluidTraffic::new(cfg.fluid_step);
         let mut acct = RssacAccounting::new(&cfg);
 

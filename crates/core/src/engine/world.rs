@@ -5,7 +5,6 @@
 use crate::config::{ConfigError, ScenarioConfig};
 use crate::deployment::{self, LetterDeployment};
 use crate::engine::faults::FaultState;
-use crate::engine::instrument::Instrumentation;
 use crate::engine::metrics::{engine_registry, keys};
 use crate::engine::trace::{EventTrace, TraceEventKind};
 use rand::Rng;
@@ -68,8 +67,7 @@ impl ChaosTarget for ServiceTarget<'_> {
 ///
 /// The world owns simulation state only; per-subsystem state (probe
 /// wheels, churn schedules, byte-size tables) lives in the subsystems
-/// themselves. The `obs` observer is write-only instrumentation: it
-/// sees the run but cannot influence it.
+/// themselves.
 pub struct SimWorld<'a> {
     pub cfg: &'a ScenarioConfig,
     pub rng_factory: &'a SimRng,
@@ -125,7 +123,6 @@ pub struct SimWorld<'a> {
     /// [`ScenarioConfig::trace`]; disabled it records nothing and
     /// allocates nothing.
     pub trace: EventTrace,
-    pub obs: &'a mut dyn Instrumentation,
 }
 
 /// The expensive immutable part of a world: topology, deployments,
@@ -242,10 +239,9 @@ impl<'a> SimWorld<'a> {
     pub fn build(
         cfg: &'a ScenarioConfig,
         rng_factory: &'a SimRng,
-        obs: &'a mut dyn Instrumentation,
     ) -> Result<SimWorld<'a>, ConfigError> {
         let substrate = Substrate::build(cfg);
-        SimWorld::from_substrate(cfg, rng_factory, &substrate, obs)
+        SimWorld::from_substrate(cfg, rng_factory, &substrate)
     }
 
     /// Stamp out the per-run mutable world over a prebuilt [`Substrate`]:
@@ -258,7 +254,6 @@ impl<'a> SimWorld<'a> {
         cfg: &'a ScenarioConfig,
         rng_factory: &'a SimRng,
         substrate: &Substrate,
-        obs: &'a mut dyn Instrumentation,
     ) -> Result<SimWorld<'a>, ConfigError> {
         if substrate.key != cfg.substrate_key() {
             return Err(ConfigError::BadOverride(format!(
@@ -393,7 +388,6 @@ impl<'a> SimWorld<'a> {
             faults: FaultState::default(),
             metrics: engine_registry(),
             trace: EventTrace::new(&cfg.trace),
-            obs,
         })
     }
 
@@ -431,7 +425,6 @@ impl<'a> SimWorld<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::instrument::NoopInstrumentation;
 
     #[test]
     fn build_wires_all_letters_and_nl() {
@@ -439,8 +432,7 @@ mod tests {
         cfg.horizon = SimTime::from_mins(30);
         cfg.pipeline.horizon = cfg.horizon;
         let rngf = SimRng::new(cfg.seed);
-        let mut obs = NoopInstrumentation;
-        let world = SimWorld::build(&cfg, &rngf, &mut obs).expect("world builds");
+        let world = SimWorld::build(&cfg, &rngf).expect("world builds");
         assert_eq!(world.letters.len(), 13);
         assert_eq!(world.services.len(), 14); // 13 letters + .nl
         assert_eq!(world.nl_index, Some(13));

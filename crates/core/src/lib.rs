@@ -33,7 +33,7 @@ pub use config::{ConfigError, ScenarioConfig, SiteOverride};
 pub use deployment::{nl_deployment, nov2015_deployments, LetterDeployment};
 pub use engine::{
     render_metrics, FaultKind, FaultPlan, FaultSpec, Instrumentation, NoopInstrumentation,
-    Profiler, RunProfile, RunStats, Substrate, Subsystem, TraceConfig, TraceEvent, TraceEventKind,
+    Profiler, RunProfile, Substrate, Subsystem, TraceConfig, TraceEvent, TraceEventKind,
     TraceSnapshot,
 };
 pub use error::{AnalysisError, RootcastError, SweepError};

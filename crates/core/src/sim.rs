@@ -3,30 +3,27 @@
 //!
 //! ## Structure of a run
 //!
-//! [`run`] validates the configuration
-//! ([`ScenarioConfig::validate`]), builds a
-//! [`SimWorld`](crate::engine::SimWorld) (topology, services, traffic
-//! sources, the calibrated VP fleet) and drives six subsystems against
-//! it on one deterministic schedule:
+//! [`run`] validates the configuration ([`ScenarioConfig::validate`]),
+//! builds a [`SimWorld`] (topology, services, traffic sources, the
+//! calibrated VP fleet) and drives six subsystems against it on one
+//! deterministic schedule:
 //!
-//! * [`FluidTraffic`](crate::engine::FluidTraffic) (every minute):
-//!   distribute attack + legitimate load over each service's current
-//!   catchments, push it through the shared-facility links and per-site
-//!   ingress queues, and let stress policies withdraw/re-announce.
-//! * [`RssacAccounting`](crate::engine::RssacAccounting) (same cadence,
-//!   ticking after the fluid step): RSSAC byte/query accounting and the
-//!   `.nl` served-rate series.
-//! * [`ProbeWheel`](crate::engine::ProbeWheel) (every minute): the
-//!   Atlas fleet's wheel — each (VP, letter) pair probes on its own
-//!   phase of the letter's probing interval (§2.4.1).
-//! * [`ResolverRefresh`](crate::engine::ResolverRefresh) (every
-//!   10 min): resolvers re-weight letter preferences from current
-//!   RTT/loss — the letter-flip mechanism (§3.2.2).
-//! * [`MaintenanceChurn`](crate::engine::MaintenanceChurn): background
-//!   operator maintenance noise.
-//! * [`FaultInjector`](crate::engine::FaultInjector) (seeded last, so
-//!   same-instant faults land after production ticks): scheduled fault
-//!   injection from the scenario's
+//! * [`FluidTraffic`] (every minute): distribute attack + legitimate
+//!   load over each service's current catchments, push it through the
+//!   shared-facility links and per-site ingress queues, and let stress
+//!   policies withdraw/re-announce.
+//! * [`RssacAccounting`] (same cadence, ticking after the fluid step):
+//!   RSSAC byte/query accounting and the `.nl` served-rate series.
+//! * [`ProbeWheel`] (every minute): the Atlas fleet's wheel — each
+//!   (VP, letter) pair probes on its own phase of the letter's probing
+//!   interval (§2.4.1).
+//! * [`ResolverRefresh`] (every 10 min): resolvers re-weight letter
+//!   preferences from current RTT/loss — the letter-flip mechanism
+//!   (§3.2.2).
+//! * [`MaintenanceChurn`] (at random intervals): background operator
+//!   maintenance noise.
+//! * [`FaultInjector`] (seeded last, so same-instant faults land after
+//!   production ticks): scheduled fault injection from the scenario's
 //!   [`FaultPlan`](crate::engine::FaultPlan). An empty plan never
 //!   wakes, leaving the run bit-identical to a five-subsystem one.
 //!
@@ -37,9 +34,9 @@ use crate::deployment::{self, LetterDeployment};
 use crate::engine::metrics::keys;
 use crate::engine::Substrate;
 use crate::engine::{
-    drive, FaultInjector, FluidTraffic, Instrumentation, MaintenanceChurn, ProbeWheel, Profiler,
-    ResolverRefresh, RssacAccounting, RunProfile, RunStats, SimWorld, StatsCollector, Subsystem,
-    TraceSnapshot,
+    drive, FaultInjector, FaultState, FluidTraffic, InjectedFault, Instrumentation,
+    MaintenanceChurn, NoopInstrumentation, ProbeWheel, Profiler, ResolverRefresh, RssacAccounting,
+    RunProfile, SimWorld, Subsystem, TraceSnapshot,
 };
 use crate::error::RootcastError;
 use rootcast_anycast::AnycastService;
@@ -74,9 +71,10 @@ pub struct SimOutput {
     pub probe_interval: SimDuration,
     /// A-root's (slower) probe interval.
     pub a_probe_interval: SimDuration,
-    /// Engine instrumentation summary (tick counts, wall time, load
-    /// extremes). Empty when the run used a custom observer.
-    pub run_stats: RunStats,
+    /// Every fault transition the injector applied, in order: the run's
+    /// injected-fault ledger (empty under an empty
+    /// [`FaultPlan`](crate::engine::FaultPlan)).
+    pub faults: Vec<InjectedFault>,
     /// Every engine metric, frozen at the end of the run (see
     /// [`metrics::keys`](crate::engine::metrics::keys) for the catalog).
     pub metrics: MetricsSnapshot,
@@ -85,14 +83,10 @@ pub struct SimOutput {
     pub trace: TraceSnapshot,
 }
 
-/// Run the scenario to completion with the default stats-collecting
-/// observer. Fails fast with a typed error when the configuration
-/// breaks an invariant ([`ScenarioConfig::validate`]).
+/// Run the scenario to completion. Fails fast with a typed error when
+/// the configuration breaks an invariant ([`ScenarioConfig::validate`]).
 pub fn run(cfg: &ScenarioConfig) -> Result<SimOutput, RootcastError> {
-    let mut stats = StatsCollector::default();
-    let mut out = run_observed(cfg, &mut stats)?;
-    out.run_stats = stats.finish();
-    Ok(out)
+    run_observed(cfg, &mut NoopInstrumentation)
 }
 
 /// Run the scenario with a caller-supplied [`Instrumentation`]
@@ -105,9 +99,9 @@ pub fn run_observed(
     cfg.validate()?;
     let rng_factory = SimRng::new(cfg.seed);
     obs.on_phase_start("build_world");
-    let world = SimWorld::build(cfg, &rng_factory, obs)?;
-    world.obs.on_phase_end("build_world");
-    drive_world(world)
+    let world = SimWorld::build(cfg, &rng_factory)?;
+    obs.on_phase_end("build_world");
+    drive_world(world, obs)
 }
 
 /// Run the scenario over a prebuilt shared [`Substrate`] (topology,
@@ -123,10 +117,7 @@ pub fn run_with_substrate(
     cfg: &ScenarioConfig,
     substrate: &Substrate,
 ) -> Result<SimOutput, RootcastError> {
-    let mut stats = StatsCollector::default();
-    let mut out = run_observed_with_substrate(cfg, substrate, &mut stats)?;
-    out.run_stats = stats.finish();
-    Ok(out)
+    run_observed_with_substrate(cfg, substrate, &mut NoopInstrumentation)
 }
 
 /// [`run_with_substrate`] with a caller-supplied observer.
@@ -138,9 +129,9 @@ pub fn run_observed_with_substrate(
     cfg.validate()?;
     let rng_factory = SimRng::new(cfg.seed);
     obs.on_phase_start("build_world");
-    let world = SimWorld::from_substrate(cfg, &rng_factory, substrate, obs)?;
-    world.obs.on_phase_end("build_world");
-    drive_world(world)
+    let world = SimWorld::from_substrate(cfg, &rng_factory, substrate)?;
+    obs.on_phase_end("build_world");
+    drive_world(world, obs)
 }
 
 /// The six subsystems of a run over `world`, in seeding order. Seeding
@@ -167,14 +158,17 @@ pub(crate) fn subsystems(world: &SimWorld<'_>) -> Vec<Box<dyn Subsystem>> {
 
 /// Drive a built world to completion and package the output: the common
 /// back half of every entry point.
-fn drive_world(mut world: SimWorld<'_>) -> Result<SimOutput, RootcastError> {
+fn drive_world(
+    mut world: SimWorld<'_>,
+    obs: &mut dyn Instrumentation,
+) -> Result<SimOutput, RootcastError> {
     let cfg = world.cfg;
     let mut subsystems = subsystems(&world);
-    world.obs.on_phase_start("drive");
-    drive(&mut world, &mut subsystems, cfg.horizon);
-    world.obs.on_phase_end("drive");
+    obs.on_phase_start("drive");
+    drive(&mut world, &mut subsystems, cfg.horizon, obs);
+    obs.on_phase_end("drive");
 
-    world.obs.on_phase_start("finalize");
+    obs.on_phase_start("finalize");
     world.pipeline.finalize();
 
     // End-of-run metric settlement: stats accumulated inside the lower
@@ -204,7 +198,7 @@ fn drive_world(mut world: SimWorld<'_>) -> Result<SimOutput, RootcastError> {
         .inc(keys::TRACE_EVENTS_DROPPED, world.trace.dropped_events());
     let metrics = world.metrics.snapshot();
     let trace = world.trace.snapshot();
-    world.obs.on_phase_end("finalize");
+    obs.on_phase_end("finalize");
 
     let SimWorld {
         graph,
@@ -218,6 +212,7 @@ fn drive_world(mut world: SimWorld<'_>) -> Result<SimOutput, RootcastError> {
         rssac_baseline,
         nl_series,
         deployments,
+        faults: FaultState { ledger: faults, .. },
         ..
     } = world;
 
@@ -247,68 +242,20 @@ fn drive_world(mut world: SimWorld<'_>) -> Result<SimOutput, RootcastError> {
         n_ases: graph.len(),
         probe_interval: cfg.probe_interval,
         a_probe_interval: cfg.a_probe_interval,
-        run_stats: RunStats::default(),
+        faults,
         metrics,
         trace,
     })
 }
 
-/// Run the scenario with both the default stats collector and the
-/// [`Profiler`], returning the output alongside the finished
-/// [`RunProfile`] (phase/tick wall times, chrome://tracing export).
-/// Profiling is observation only: the output is bit-identical to
-/// [`run`]'s.
+/// Run the scenario under the [`Profiler`], returning the output
+/// alongside the finished [`RunProfile`] (phase/tick wall times,
+/// chrome://tracing export). Profiling is observation only: the output
+/// is bit-identical to [`run`]'s.
 pub fn run_profiled(cfg: &ScenarioConfig) -> Result<(SimOutput, RunProfile), RootcastError> {
-    /// Tee every hook into the stats collector and the profiler.
-    struct Tee {
-        stats: StatsCollector,
-        profiler: Profiler,
-    }
-
-    impl Instrumentation for Tee {
-        fn on_phase_start(&mut self, phase: &'static str) {
-            self.stats.on_phase_start(phase);
-            self.profiler.on_phase_start(phase);
-        }
-        fn on_phase_end(&mut self, phase: &'static str) {
-            self.stats.on_phase_end(phase);
-            self.profiler.on_phase_end(phase);
-        }
-        fn on_subsystem_tick(
-            &mut self,
-            subsystem: &'static str,
-            t: SimTime,
-            wall: std::time::Duration,
-        ) {
-            self.stats.on_subsystem_tick(subsystem, t, wall);
-            self.profiler.on_subsystem_tick(subsystem, t, wall);
-        }
-        fn on_letter_load(&mut self, t: SimTime, letter: Letter, offered: f64, served: f64) {
-            self.stats.on_letter_load(t, letter, offered, served);
-        }
-        fn on_queue_depth(&mut self, t: SimTime, letter: Letter, site: &str, delay: SimDuration) {
-            self.stats.on_queue_depth(t, letter, site, delay);
-        }
-        fn on_policy_transition(
-            &mut self,
-            t: SimTime,
-            letter: Letter,
-            changes: &rootcast_anycast::RoutingChanges,
-        ) {
-            self.stats.on_policy_transition(t, letter, changes);
-        }
-        fn on_fault(&mut self, t: SimTime, fault: &crate::engine::InjectedFault) {
-            self.stats.on_fault(t, fault);
-        }
-    }
-
-    let mut tee = Tee {
-        stats: StatsCollector::default(),
-        profiler: Profiler::default(),
-    };
-    let mut out = run_observed(cfg, &mut tee)?;
-    out.run_stats = tee.stats.finish();
-    Ok((out, tee.profiler.finish()))
+    let mut profiler = Profiler::default();
+    let out = run_observed(cfg, &mut profiler)?;
+    Ok((out, profiler.finish()))
 }
 
 /// Build the scenario's services and report, for each letter, the
@@ -352,13 +299,13 @@ pub fn attack_exposure(cfg: &ScenarioConfig) -> Vec<(Letter, Vec<(String, f64)>)
 mod tests {
     use super::*;
     use crate::engine::oracle::{AuditCounts, FluidAudit, ProbeAudit};
-    use crate::engine::{FaultKind, FaultPlan, NoopInstrumentation};
+    use crate::engine::{FaultKind, FaultPlan};
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    /// One shared small run for the driver's smoke tests (building it is
-    /// the expensive part; assertions are cheap).
-    fn smoke() -> SimOutput {
+    /// One shared small profiled run for the driver's smoke tests
+    /// (building it is the expensive part; assertions are cheap).
+    fn smoke() -> (SimOutput, RunProfile) {
         let mut cfg = ScenarioConfig::small();
         cfg.horizon = SimTime::from_hours(2);
         cfg.pipeline.horizon = cfg.horizon;
@@ -369,12 +316,12 @@ mod tests {
             targets: AttackSchedule::nov2015_targets(),
             rate_qps: 2_000_000.0,
         }]);
-        run(&cfg).expect("valid scenario")
+        run_profiled(&cfg).expect("valid scenario")
     }
 
     #[test]
     fn driver_produces_consistent_output() {
-        let out = smoke();
+        let (out, profile) = smoke();
         assert_eq!(out.letters.len(), 13);
         assert!(out.n_vps_kept > 300, "kept {}", out.n_vps_kept);
         // Every letter has pipeline data.
@@ -415,22 +362,21 @@ mod tests {
         assert!(out.rssac.contains_key(&Letter::A));
         // .nl series exist.
         assert_eq!(out.nl_sites.len(), 2);
-        // The default observer collected engine stats: the five
-        // production subsystems ticked (the fault injector never wakes
-        // on an empty plan), and load extremes were recorded.
-        assert_eq!(out.run_stats.subsystems.len(), 5);
-        assert!(out.run_stats.faults.is_empty());
+        // The profiler saw the five production subsystems tick (the
+        // fault injector never wakes on an empty plan), and the metrics
+        // recorded the load extremes.
+        let subsystems = profile.subsystems();
+        assert_eq!(subsystems.len(), 5);
+        assert!(out.faults.is_empty());
         for name in ["fluid", "rssac", "probes", "resolvers", "maintenance"] {
-            assert!(
-                out.run_stats.subsystems.contains_key(name),
-                "missing stats for {name}"
-            );
+            assert!(subsystems.contains_key(name), "missing profile for {name}");
         }
-        let fluid_ticks = out.run_stats.subsystems["fluid"].ticks;
+        let fluid_ticks = subsystems["fluid"].ticks;
         assert_eq!(fluid_ticks, 120); // one per minute over 2 h
-        assert_eq!(out.run_stats.subsystems["rssac"].ticks, fluid_ticks);
-        assert!(out.run_stats.peak_offered_qps > 0.0);
-        assert!(out.run_stats.worst_served_ratio < 1.0); // B-root melted
+        assert_eq!(subsystems["rssac"].ticks, fluid_ticks);
+        let gauge = |name| out.metrics.gauge(name).expect("gauge set");
+        assert!(gauge("fluid.peak_offered_qps") > 0.0);
+        assert!(gauge("fluid.worst_served_ratio") < 1.0); // B-root melted
     }
 
     #[test]
@@ -474,8 +420,7 @@ mod tests {
             );
         cfg.validate().expect("valid scenario");
         let rng_factory = SimRng::new(cfg.seed);
-        let mut obs = NoopInstrumentation;
-        let mut world = SimWorld::build(&cfg, &rng_factory, &mut obs).expect("world builds");
+        let mut world = SimWorld::build(&cfg, &rng_factory).expect("world builds");
         let fluid = Rc::new(RefCell::new(AuditCounts::default()));
         let probes = Rc::new(RefCell::new(AuditCounts::default()));
         let mut audited: Vec<Box<dyn Subsystem>> = subsystems(&world)
@@ -488,7 +433,12 @@ mod tests {
                 }
             })
             .collect();
-        drive(&mut world, &mut audited, cfg.horizon);
+        drive(
+            &mut world,
+            &mut audited,
+            cfg.horizon,
+            &mut NoopInstrumentation,
+        );
 
         let (fluid, probes) = (*fluid.borrow(), *probes.borrow());
         let minutes = cfg.horizon.as_secs() / 60;

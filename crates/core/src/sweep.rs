@@ -28,7 +28,7 @@
 //!
 //! `SimWorld::build` is literally `Substrate::build` followed by
 //! `SimWorld::from_substrate`, so a shared-substrate run cannot differ
-//! from a standalone [`run`](crate::sim::run): there is one build
+//! from a standalone [`run`]: there is one build
 //! path. Per-run seeds are derived as FNV-1a(base seed, run label)
 //! under [`SeedMode::PerRun`] (or inherited under the default
 //! [`SeedMode::Shared`]), runs are mutually independent, and results
@@ -282,7 +282,7 @@ impl SweepPlan {
     }
 
     /// Materialize run `i`'s full config: patch applied, seed resolved.
-    /// This is the exact config a standalone [`run`](crate::sim::run)
+    /// This is the exact config a standalone [`run`]
     /// must be handed to reproduce the sweep's record bit for bit.
     pub fn resolve(&self, i: usize) -> ScenarioConfig {
         let run = &self.runs[i];
@@ -410,17 +410,21 @@ fn headline(out: &SimOutput) -> Headline {
     } else {
         avail.iter().sum::<f64>() / avail.len() as f64
     };
-    let finite_or = |v: f64, d: f64| if v.is_finite() { v } else { d };
+    // A gauge no fluid window set, or a non-finite one, reads as `missing`.
+    let gauge = |name, missing: f64| match out.metrics.gauge(name) {
+        Some(v) if v.is_finite() => v,
+        _ => missing,
+    };
     Headline {
         n_ases: out.n_ases,
         n_vps_kept: out.n_vps_kept,
         worst_letter_availability: worst,
         mean_letter_availability: mean,
-        peak_offered_qps: finite_or(out.run_stats.peak_offered_qps, 0.0),
-        worst_served_ratio: finite_or(out.run_stats.worst_served_ratio, 1.0),
-        policy_transitions: out.run_stats.policy_transitions,
+        peak_offered_qps: gauge("fluid.peak_offered_qps", 0.0),
+        worst_served_ratio: gauge("fluid.worst_served_ratio", 1.0),
+        policy_transitions: out.metrics.counter("fluid.policy_transitions").unwrap_or(0),
         route_events: out.collectors.values().map(|c| c.log().len() as u64).sum(),
-        faults_injected: out.run_stats.faults.len() as u64,
+        faults_injected: out.faults.len() as u64,
     }
 }
 

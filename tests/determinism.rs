@@ -10,8 +10,8 @@
 //! bit.
 
 use rootcast::{
-    run, run_with_substrate, FaultKind, FaultPlan, Letter, ScenarioConfig, SimDuration, SimOutput,
-    SimTime, Substrate,
+    output_digest, run, run_sweep, run_with_substrate, ConfigPatch, FaultKind, FaultPlan, Letter,
+    ScenarioConfig, SimDuration, SimOutput, SimTime, Substrate, SweepPlan, SweepRun,
 };
 
 /// A bit-exact digest of everything the analysis layer consumes.
@@ -233,4 +233,46 @@ fn fault_runs_are_bit_identical_across_thread_counts() {
         first, single,
         "single-thread fault run diverged from the default pool"
     );
+}
+
+/// `output_digest` of `run(&ScenarioConfig::small())`. A change that
+/// moves any simulated fact the analysis layer reads moves this value;
+/// bump it only for a deliberate behaviour change.
+const SMALL_OUTPUT_DIGEST: u64 = 13_351_216_472_877_876_908;
+
+/// `Debug` text of the headline of a one-run sweep over `small()` with
+/// a site crash planned inside event 1.
+const SMALL_SITE_CRASH_HEADLINE: &str = "Headline { n_ases: 436, n_vps_kept: 384, \
+    worst_letter_availability: 0.12760416666666666, mean_letter_availability: 0.6666718030900723, \
+    peak_offered_qps: 5082297.763379642, worst_served_ratio: 0.06977581923537435, \
+    policy_transitions: 36, route_events: 50, faults_injected: 2 }";
+
+#[test]
+fn small_output_digest_is_pinned() {
+    let out = run(&ScenarioConfig::small()).expect("valid scenario");
+    assert_eq!(output_digest(&out), SMALL_OUTPUT_DIGEST);
+}
+
+#[test]
+fn small_site_crash_sweep_headline_is_pinned() {
+    let faults = FaultPlan::none().with(
+        SimTime::from_hours(7),
+        SimDuration::from_mins(45),
+        FaultKind::SiteCrash {
+            letter: Letter::K,
+            site: "AMS".into(),
+        },
+    );
+    let plan = SweepPlan::explicit(
+        "small-site-crash",
+        ScenarioConfig::small(),
+        vec![SweepRun::new(
+            "k-ams-crash",
+            ConfigPatch::none().with_faults(faults),
+        )],
+    );
+    let report = run_sweep(&plan).expect("valid sweep");
+    assert_eq!(report.records.len(), 1);
+    let headline = format!("{:?}", report.records[0].headline);
+    assert_eq!(headline, SMALL_SITE_CRASH_HEADLINE);
 }

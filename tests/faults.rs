@@ -10,7 +10,8 @@
 
 use rootcast::analysis::{event_size, reachability};
 use rootcast::{
-    run, FaultKind, FaultPlan, Letter, ScenarioConfig, SimDuration, SimOutput, SimTime,
+    run, run_observed, run_with_substrate, FaultKind, FaultPlan, Letter, NoopInstrumentation,
+    Profiler, ScenarioConfig, SimDuration, SimOutput, SimTime, Substrate,
 };
 use rootcast_attack::{AttackSchedule, AttackWindow};
 
@@ -77,9 +78,9 @@ fn bits(values: &[f64]) -> Vec<u64> {
 }
 
 #[test]
-fn run_stats_ledger_lists_every_fault() {
+fn fault_ledger_lists_every_fault() {
     let (_, faulted) = runs();
-    let ledger = &faulted.run_stats.faults;
+    let ledger = &faulted.faults;
     assert_eq!(ledger.len(), 6, "3 injections + 3 recoveries: {ledger:?}");
     for needle in [
         "site-crash B/LAX",
@@ -96,6 +97,38 @@ fn run_stats_ledger_lists_every_fault() {
     for pair in ledger.windows(2) {
         assert!(pair[0].at <= pair[1].at, "ledger out of order: {ledger:?}");
     }
+}
+
+#[test]
+fn every_entry_point_returns_the_same_fault_ledger() {
+    // The ledger lives in the world, so it does not depend on which
+    // observer (if any) watched the run.
+    let (_, faulted) = runs();
+    let mut cfg = base_cfg();
+    cfg.faults = fault_plan();
+    let noop = run_observed(&cfg, &mut NoopInstrumentation).expect("valid scenario");
+    let mut profiler = Profiler::default();
+    let profiled = run_observed(&cfg, &mut profiler).expect("valid scenario");
+    assert!(
+        !profiler.finish().ticks.is_empty(),
+        "the profiler saw the run"
+    );
+    let shared = run_with_substrate(&cfg, &Substrate::build(&cfg)).expect("valid scenario");
+    for (entry, out) in [
+        ("run_observed(noop)", &noop),
+        ("run_observed(profiler)", &profiled),
+        ("run_with_substrate", &shared),
+    ] {
+        assert_eq!(
+            out.faults, faulted.faults,
+            "{entry} ledger differs from run's"
+        );
+    }
+    let counter = |name| faulted.metrics.counter(name).expect("registered counter");
+    assert_eq!(
+        faulted.faults.len() as u64,
+        counter("faults.injections") + counter("faults.recoveries")
+    );
 }
 
 #[test]
